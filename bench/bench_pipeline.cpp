@@ -13,7 +13,8 @@
 //
 // A second section, the hot-path suite, benchmarks the optimized trace I/O,
 // index build, and fused pipeline against the reference implementations
-// retained in-tree (stream reader, TraceIndex::ReferenceBuild, the
+// retained in-tree (the test-only istream reader under tests/oracle,
+// TraceIndex::ReferenceBuild, the
 // load→validate→index→analyze composition with per-stage index builds) on a
 // large synthetic DOACROSS trace, asserting along the way that every
 // optimized path reproduces its reference bit for bit.  Results go to
@@ -30,6 +31,7 @@
 #include "core/eventbased.hpp"
 #include "core/pipeline.hpp"
 #include "loops/programs.hpp"
+#include "oracle/binary_oracle.hpp"
 #include "sim/engine.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
@@ -127,7 +129,7 @@ void run_hotpath(const support::Cli& cli, const experiments::Setup& setup) {
   trace::IoArena arena;
   {
     std::ifstream f(tmp, std::ios::binary);
-    const trace::Trace via_stream = trace::read_binary(f);
+    const trace::Trace via_stream = trace::oracle::read_binary(f);
     const trace::Trace via_buffer = trace::load(tmp, arena);
     PERTURB_CHECK_MSG(traces_equal(via_stream, measured) &&
                           traces_equal(via_buffer, measured),
@@ -157,7 +159,7 @@ void run_hotpath(const support::Cli& cli, const experiments::Setup& setup) {
   }));
   rows.push_back(measure("load_stream", events, reps, [&] {
     std::ifstream f(tmp, std::ios::binary);
-    const auto t = trace::read_binary(f);
+    const auto t = trace::oracle::read_binary(f);
     if (t.size() != events) std::abort();
   }));
   rows.push_back(measure("load_buffer", events, reps, [&] {
@@ -184,7 +186,7 @@ void run_hotpath(const support::Cli& cli, const experiments::Setup& setup) {
   trace::Trace baseline_approx;
   rows.push_back(measure("end_to_end_baseline", events, reps, [&] {
     std::ifstream f(tmp, std::ios::binary);
-    const trace::Trace t = trace::read_binary(f);
+    const trace::Trace t = trace::oracle::read_binary(f);
     const trace::TraceIndex triage(trace::TraceIndex::ReferenceBuild{}, t);
     if (!trace::validate(triage, {}).empty()) std::abort();
     const trace::TraceIndex analysis(trace::TraceIndex::ReferenceBuild{}, t);

@@ -13,6 +13,7 @@
 #include "experiments/experiments.hpp"
 #include "loops/kernels.hpp"
 #include "loops/programs.hpp"
+#include "oracle/binary_oracle.hpp"
 #include "rt/tracer.hpp"
 #include "support/crc32.hpp"
 #include "trace/index.hpp"
@@ -197,7 +198,8 @@ void BM_TraceBinaryRoundtrip(benchmark::State& state) {
   for (auto _ : state) {
     std::stringstream ss;
     trace::write_binary(ss, t);
-    auto back = trace::read_binary(ss);
+    const std::string image = std::move(ss).str();
+    auto back = trace::read_binary(image.data(), image.size());
     benchmark::DoNotOptimize(back.size());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -221,15 +223,15 @@ const std::string& binary_image() {
   return image;
 }
 
-// The retained istream decoder (per-event push_back) vs the zero-copy
-// buffer decoder (CRC + fixed-width decode straight into pre-sized
-// storage).  Same image, same resulting trace.
+// The test-only istream oracle (per-event push_back) vs the production
+// image reader (ChunkReader: CRC + fixed-width decode straight into
+// reserved storage).  Same image, same resulting trace.
 void BM_TraceBinaryReadStream(benchmark::State& state) {
   const std::string& image = binary_image();
   std::size_t events = 0;
   for (auto _ : state) {
     std::istringstream in(image);
-    auto t = trace::read_binary(in);
+    auto t = trace::oracle::read_binary(in);
     events = t.size();
     benchmark::DoNotOptimize(events);
   }

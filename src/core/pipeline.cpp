@@ -465,7 +465,7 @@ PipelineResult AnalysisPipeline::run_sealed(
 
 StreamOutcome AnalysisPipeline::run_stream_file(const std::string& path,
                                                 bool collect) const {
-  PERTURB_CHECK_MSG(options_.stream_window >= trace::kStreamChunkEvents,
+  PERTURB_CHECK_MSG(options_.stream_window >= trace::kChunkEvents,
                     "stream window must hold at least one chunk");
   if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".ptt") == 0)
     throw trace::MalformedTraceError(
@@ -508,7 +508,9 @@ StreamOutcome AnalysisPipeline::run_stream_file(const std::string& path,
   for (;;) {
     // Drain every chunk the fed bytes complete before reading more, so the
     // reader's backlog stays bounded by one read buffer.
-    while (reader.next(chunk) == trace::ChunkReader::Status::kChunk) {
+    trace::ChunkReader::Status status;
+    while ((status = reader.next(chunk)) ==
+           trace::ChunkReader::Status::kChunk) {
       checkpoint(options_, "stream");
       ++out.chunks;
       for (const trace::Event& e : chunk) {
@@ -526,7 +528,9 @@ StreamOutcome AnalysisPipeline::run_stream_file(const std::string& path,
       }
       recon.push(chunk);
     }
-    if (eof) break;
+    // kEnd: every declared event is in, or salvage stopped at a defect;
+    // the rest of the file cannot add events.
+    if (eof || status == trace::ChunkReader::Status::kEnd) break;
     const std::size_t got = std::fread(buffer.data(), 1, buffer.size(), file);
     if (got > 0) reader.feed(buffer.data(), got);
     if (got < buffer.size()) {

@@ -1,19 +1,23 @@
-// Incremental reader for binary trace format v2.
+// The one decoder of binary trace format v2.
 //
-// The batch readers in io.hpp materialize a whole Trace before anything can
-// look at it.  ChunkReader instead yields decoded, CRC-validated event
-// chunks one at a time, either over a borrowed in-memory file image (e.g. a
-// FileImage) or from an arbitrary byte feed (a socket), so callers can
-// index and analyze a trace with O(chunk) resident bytes.
+// ChunkReader yields decoded, CRC-validated event chunks one at a time,
+// either over a borrowed in-memory file image (e.g. a FileImage) or from an
+// arbitrary byte feed (a socket), so callers can index and analyze a trace
+// with O(chunk) resident bytes.  The batch readers in io.hpp are a
+// borrowed-mode ChunkReader appending every chunk into one Trace.
 //
-// Parity contract: on any byte sequence, the chunks a ChunkReader yields
-// concatenate to exactly the events read_binary / read_binary_salvage would
-// produce, with the same defect diagnoses in its SalvageReport and the same
-// exceptions in strict mode.  The one documented divergence: the batch
-// strict reader pre-checks the declared event count against the bytes
-// remaining in the image; a feed cannot know its total size, so an
-// over-declared count surfaces as the per-chunk defect it tears into
-// instead.  Format v1 is unframed and cannot be streamed; it is rejected.
+// Contract: strict mode throws MalformedTraceError on header defects and
+// IoError on body defects; salvage mode stops at the first body defect and
+// records it in report().  A borrowed image has a known size, so there a
+// strict read also rejects a declared event count the remaining bytes
+// cannot hold (naming #count) before decoding anything.  The one documented
+// divergence between the modes: a feed cannot know its total size, so in
+// feed mode an over-declared count surfaces as the chunk defect it tears
+// into instead.  Otherwise, on any byte sequence and at any feed
+// granularity, both modes yield the same events, the same SalvageReport
+// and the same exceptions.  The istream reader under tests/oracle holds
+// this decoder to the format's rules.  Format v1 is unframed and cannot be
+// streamed; it is rejected (the batch readers decode it separately).
 #pragma once
 
 #include <cstddef>
@@ -25,10 +29,6 @@
 #include "trace/trace.hpp"
 
 namespace perturb::trace {
-
-/// Events per v2 chunk frame (mirrors the writer in io.cpp).  Streaming
-/// windows are naturally measured in multiples of this.
-inline constexpr std::size_t kStreamChunkEvents = 1024;
 
 class ChunkReader {
  public:
@@ -46,6 +46,9 @@ class ChunkReader {
   ChunkReader(const char* data, std::size_t size, bool salvage = false);
 
   /// Appends bytes to the feed.  Only valid in feed mode, before finish().
+  /// Once the reader is done (next() returned kEnd, e.g. after a salvage
+  /// stop) the bytes are dropped, so the buffer never holds the rest of a
+  /// damaged stream.
   void feed(const char* data, std::size_t size);
   void feed(const std::string& bytes) { feed(bytes.data(), bytes.size()); }
 
@@ -53,12 +56,20 @@ class ChunkReader {
   /// truncation instead of returning kNeedMore.
   void finish() { finished_ = true; }
 
+  /// Parses the magic, version and header if enough bytes are buffered;
+  /// returns header_ready().  Borrowed mode always returns true (or
+  /// throws).  next() calls this itself.
+  bool read_header();
+
   /// Advances the reader.  On kChunk, `out` is replaced with the chunk's
-  /// events.  Strict mode throws MalformedTraceError on header defects and
-  /// IoError on body defects (exactly like read_binary); salvage mode
-  /// records body defects in report() and returns kEnd (header defects
-  /// still throw, exactly like read_binary_salvage).
-  Status next(std::vector<Event>& out);
+  /// events.  Strict mode throws on any defect; salvage mode records body
+  /// defects in report() and returns kEnd (header defects still throw).
+  Status next(std::vector<Event>& out) { return advance(out, 0); }
+
+  /// Like next(), but appends the chunk's events to `out`.
+  Status append_next(std::vector<Event>& out) {
+    return advance(out, out.size());
+  }
 
   /// True once the v2 header has been parsed; info() and events_declared()
   /// are meaningful from then on.
@@ -70,12 +81,11 @@ class ChunkReader {
   /// chunk's prefix).
   std::uint64_t events_read() const { return decoded_events_; }
 
-  /// Salvage outcome so far; final once next() has returned kEnd.  Field
-  /// semantics match read_binary_salvage.
+  /// Salvage outcome so far; final once next() has returned kEnd.
   const SalvageReport& report() const { return report_; }
 
  private:
-  enum class State { kMagic, kHeader, kChunks, kDone };
+  enum class State { kPreamble, kHeader, kChunks, kDone };
 
   std::size_t avail() const {
     return (borrowed_ ? data_size_ : buf_.size()) - pos_;
@@ -85,14 +95,17 @@ class ChunkReader {
   }
   void consume(std::size_t n) { pos_ += n; }
 
+  /// Decodes the next chunk into `out` from index `base` on.
+  Status advance(std::vector<Event>& out, std::size_t base);
+
   /// Body-level defect: strict mode throws IoError; salvage mode records
-  /// the first diagnosis and stops the reader.
-  void defect(const std::string& msg);
+  /// the first diagnosis, stops the reader and returns kEnd.
+  Status defect(const std::string& msg);
 
   bool salvage_ = false;
   bool borrowed_ = false;
   bool finished_ = false;
-  State state_ = State::kMagic;
+  State state_ = State::kPreamble;
 
   std::string buf_;             ///< feed-mode backing store
   const char* data_ = nullptr;  ///< borrowed-image backing store

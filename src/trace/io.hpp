@@ -6,10 +6,14 @@
 // Binary format v2 frames events into CRC32-checksummed chunks so that torn
 // or bit-flipped files are detected — and, via the salvage API, the longest
 // valid prefix is recovered instead of the whole trace being discarded.
-// Version 1 files (unframed, no checksums) are still read transparently.
+// There is one v2 decoder: trace::ChunkReader (chunk_reader.hpp).  The
+// batch readers below run it in borrowed mode over an in-memory image and
+// append its chunks straight into the trace.  Version 1 files (unframed, no
+// checksums) are still read transparently by a small record decoder.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -18,6 +22,23 @@
 #include "trace/trace.hpp"
 
 namespace perturb::trace {
+
+// ---- binary format layout, shared by the writer and the readers ---------
+
+inline constexpr char kMagic[4] = {'P', 'T', 'R', 'C'};
+inline constexpr std::uint32_t kVersionV1 = 1;
+inline constexpr std::uint32_t kVersionV2 = 2;
+/// Events per v2 chunk: small enough that a flipped bit discards little
+/// (~27 KiB of events), large enough that the 8-byte frame is negligible.
+/// Streaming windows are measured in multiples of it.
+inline constexpr std::size_t kChunkEvents = 1024;
+/// Serialized size of one event record (time, payload, id, object, proc,
+/// kind), identical in v1 and v2.
+inline constexpr std::size_t kEventBytes = 8 + 8 + 4 + 4 + 2 + 1;
+/// Sanity caps: no legitimate trace exceeds these, so larger declared
+/// values mean a corrupt header rather than a big file.
+inline constexpr std::uint32_t kMaxNameLen = 1u << 20;
+inline constexpr std::uint32_t kMaxProcs = 1u << 20;
 
 /// Thrown on I/O and serialization failures (unreadable file, bad magic,
 /// corrupt header, checksum mismatch in strict mode).  Derives from
@@ -70,25 +91,18 @@ Trace read_text(std::istream& in);
 /// CRC32-framed event chunks).
 void write_binary(std::ostream& out, const Trace& trace);
 
-/// Parses the binary format (v1 or v2); throws IoError on any corruption,
-/// truncation, or checksum mismatch.
-Trace read_binary(std::istream& in);
-
-/// Salvage read: recovers the longest valid prefix of a torn, truncated, or
-/// bit-flipped binary trace (v1 or v2) and fills `report` with what was
-/// recovered and why recovery stopped.  Throws IoError only when nothing is
-/// recoverable (bad magic, unusable or corrupt header).
-Trace read_binary_salvage(std::istream& in, SalvageReport& report);
-
-/// Zero-copy strict reader over an in-memory image of a binary trace file
-/// (the exact bytes a file contains).  Chunk CRCs are verified in place and
-/// fixed-width records decode straight into a pre-reserved event vector — no
-/// per-chunk staging buffer, no stream indirection.  Accepts and rejects
-/// exactly the same inputs as the stream reader, with the same messages.
+/// Strict reader over an in-memory image of a binary trace file (the exact
+/// bytes a file contains).  Throws MalformedTraceError when the header is
+/// unusable and IoError on any body corruption, truncation, or checksum
+/// mismatch.  v2 decodes through a borrowed-mode ChunkReader: chunk CRCs
+/// are verified in place and records decode straight into storage reserved
+/// for min(declared count, size / kEventBytes + 1) events.
 Trace read_binary(const char* data, std::size_t size);
 
-/// Zero-copy salvage reader over an in-memory file image; same recovery
-/// semantics and SalvageReport contents as the stream salvage reader.
+/// Salvage reader: recovers the longest valid prefix of a torn, truncated,
+/// or bit-flipped image (v1 or v2) and fills `report` with what was
+/// recovered and why recovery stopped.  Throws only when nothing is
+/// recoverable (bad magic, unusable or corrupt header).
 Trace read_binary_salvage(const char* data, std::size_t size,
                           SalvageReport& report);
 
@@ -124,25 +138,19 @@ class FileImage {
 
 namespace detail {
 
-/// Decodes `n` fixed-width binary event records (27 bytes each) at `src`
+/// Decodes `n` fixed-width binary event records (kEventBytes each) at `src`
 /// into pre-sized storage at `dst`, validating event kinds.  Returns the
 /// count actually written (< n only when a bad kind stopped the decode).
-/// Shared by the batch readers and the streaming ChunkReader so both decode
-/// records identically.
+/// Shared by the v1 reader and ChunkReader so both decode records
+/// identically.
 std::uint32_t decode_event_records(const char* src, std::uint32_t n,
                                    Event* dst);
-
-/// Parses the CRC-verified v2 header *block* (name_len, name, num_procs,
-/// ticks_per_us, count); throws MalformedTraceError with the batch reader's
-/// messages on any defect.
-TraceInfo parse_v2_header_block(const char* block, std::size_t len,
-                                std::uint64_t& count);
 
 }  // namespace detail
 
 /// File-path conveniences; format chosen by extension (".ptt" text,
-/// anything else binary).  Binary loads go through the zero-copy reader over
-/// a memory-mapped image of the file when the platform allows it.
+/// anything else binary).  Binary loads run the image reader over a
+/// memory-mapped image of the file when the platform allows it.
 void save(const std::string& path, const Trace& trace);
 Trace load(const std::string& path);
 Trace load(const std::string& path, IoArena& arena);

@@ -24,6 +24,7 @@
 #include "core/eventbased.hpp"
 #include "core/pipeline.hpp"
 #include "instr/plan.hpp"
+#include "oracle/binary_oracle.hpp"
 #include "sim/engine.hpp"
 #include "support/prng.hpp"
 #include "trace/faults.hpp"
@@ -219,8 +220,7 @@ TEST_P(FuzzBinaryBytes, MutatedImageSalvagesOrFailsLoudly) {
   // Strict read: success (bounded by the source) or CheckError.  Anything
   // else — crash, hang, bad_alloc from a corrupt count — is a bug.
   try {
-    std::istringstream in(bytes, std::ios::binary);
-    const auto t = trace::read_binary(in);
+    const auto t = trace::read_binary(bytes.data(), bytes.size());
     EXPECT_LE(t.size(), base.num_events) << "seed " << seed;
   } catch (const CheckError&) {
     // rejected loudly: fine
@@ -228,9 +228,9 @@ TEST_P(FuzzBinaryBytes, MutatedImageSalvagesOrFailsLoudly) {
 
   // Salvage read: same contract, plus a coherent report when it succeeds.
   try {
-    std::istringstream in(bytes, std::ios::binary);
     trace::SalvageReport report;
-    const auto t = trace::read_binary_salvage(in, report);
+    const auto t =
+        trace::read_binary_salvage(bytes.data(), bytes.size(), report);
     EXPECT_LE(t.size(), base.num_events) << "seed " << seed;
     EXPECT_EQ(report.events_recovered, t.size()) << "seed " << seed;
     if (report.complete) {
@@ -242,9 +242,10 @@ TEST_P(FuzzBinaryBytes, MutatedImageSalvagesOrFailsLoudly) {
 }
 
 TEST_P(FuzzBinaryBytes, StreamAndBufferReadersAgree) {
-  // The zero-copy buffer reader and the retained istream reader must be
-  // interchangeable on every input: same trace, same SalvageReport, same
-  // accept/reject decision — even for corrupted or torn images.
+  // The production image reader (ChunkReader in borrowed mode) against the
+  // istream oracle: on every input, even corrupted or torn images, the same
+  // trace and SalvageReport, or the same exception type (exit 2 vs exit 3
+  // in the tools) with the same message.
   const std::uint64_t seed = GetParam();
   const BaseImage& base = base_image();
   Xoshiro256 rng(seed * 0xD1B54A32D192ED03ull + 1);
@@ -265,69 +266,12 @@ TEST_P(FuzzBinaryBytes, StreamAndBufferReadersAgree) {
       break;  // intact image: both paths must agree on the clean case too
   }
 
-  // Strict read.
-  bool stream_ok = false;
-  trace::Trace via_stream;
-  try {
-    std::istringstream in(bytes, std::ios::binary);
-    via_stream = trace::read_binary(in);
-    stream_ok = true;
-  } catch (const CheckError&) {
-  }
-  bool buffer_ok = false;
-  trace::Trace via_buffer;
-  try {
-    via_buffer = trace::read_binary(bytes.data(), bytes.size());
-    buffer_ok = true;
-  } catch (const CheckError&) {
-  }
-  EXPECT_EQ(stream_ok, buffer_ok) << "seed " << seed;
-  if (stream_ok && buffer_ok) {
-    ASSERT_EQ(via_stream.size(), via_buffer.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < via_stream.size(); ++i)
-      ASSERT_TRUE(via_stream[i] == via_buffer[i]) << "seed " << seed
-                                                  << " event " << i;
-  }
-
-  // Salvage read: traces and reports must match field for field.
-  bool stream_salvage_ok = false;
-  trace::SalvageReport stream_report;
-  trace::Trace stream_salvaged;
-  try {
-    std::istringstream in(bytes, std::ios::binary);
-    stream_salvaged = trace::read_binary_salvage(in, stream_report);
-    stream_salvage_ok = true;
-  } catch (const CheckError&) {
-  }
-  bool buffer_salvage_ok = false;
-  trace::SalvageReport buffer_report;
-  trace::Trace buffer_salvaged;
-  try {
-    buffer_salvaged =
-        trace::read_binary_salvage(bytes.data(), bytes.size(), buffer_report);
-    buffer_salvage_ok = true;
-  } catch (const CheckError&) {
-  }
-  EXPECT_EQ(stream_salvage_ok, buffer_salvage_ok) << "seed " << seed;
-  if (stream_salvage_ok && buffer_salvage_ok) {
-    ASSERT_EQ(stream_salvaged.size(), buffer_salvaged.size())
-        << "seed " << seed;
-    for (std::size_t i = 0; i < stream_salvaged.size(); ++i)
-      ASSERT_TRUE(stream_salvaged[i] == buffer_salvaged[i])
-          << "seed " << seed << " event " << i;
-    EXPECT_EQ(stream_report.complete, buffer_report.complete)
-        << "seed " << seed;
-    EXPECT_EQ(stream_report.version, buffer_report.version) << "seed " << seed;
-    EXPECT_EQ(stream_report.events_declared, buffer_report.events_declared)
-        << "seed " << seed;
-    EXPECT_EQ(stream_report.events_recovered, buffer_report.events_recovered)
-        << "seed " << seed;
-    EXPECT_EQ(stream_report.chunks_total, buffer_report.chunks_total)
-        << "seed " << seed;
-    EXPECT_EQ(stream_report.chunks_recovered, buffer_report.chunks_recovered)
-        << "seed " << seed;
-    EXPECT_EQ(stream_report.detail, buffer_report.detail) << "seed " << seed;
-  }
+  for (const bool salvage : {false, true})
+    EXPECT_EQ(trace::oracle::outcome_diff(
+                  trace::oracle::read_with_oracle(bytes, salvage),
+                  trace::oracle::read_with_production(bytes, salvage)),
+              "")
+        << "seed " << seed << (salvage ? " salvage" : " strict");
 }
 
 TEST(FuzzBinaryBytes, PureTruncationAlwaysSalvages) {
@@ -338,9 +282,9 @@ TEST(FuzzBinaryBytes, PureTruncationAlwaysSalvages) {
   for (int i = 1; i <= 10; ++i) {
     const std::string torn =
         trace::truncate_bytes(base.bytes, static_cast<double>(i) / 10.0);
-    std::istringstream in(torn, std::ios::binary);
     trace::SalvageReport report;
-    const auto t = trace::read_binary_salvage(in, report);
+    const auto t =
+        trace::read_binary_salvage(torn.data(), torn.size(), report);
     EXPECT_GE(t.size(), prev);
     prev = t.size();
   }
@@ -349,43 +293,24 @@ TEST(FuzzBinaryBytes, PureTruncationAlwaysSalvages) {
 
 // ---- degenerate inputs: the header edge cases random mutation rarely hits.
 // These are *content* defects, not I/O failures: the file read fine, its
-// bytes are unusable.  Both readers must reject with MalformedTraceError
-// (the exit-2 class) and the same message.
+// bytes are unusable.  Production and the oracle must both reject with
+// MalformedTraceError (the exit-2 class) and the same message.
 
-/// Strict-reads `bytes` through the stream and buffer paths; both must throw
-/// MalformedTraceError, and with identical messages.
+/// Reads `bytes` strict and salvage through production and the oracle;
+/// every read must throw MalformedTraceError, with matching messages.
 void expect_malformed(const std::string& bytes, const std::string& what) {
-  std::string stream_msg;
-  try {
-    std::istringstream in(bytes, std::ios::binary);
-    trace::read_binary(in);
-    FAIL() << what << ": stream reader accepted degenerate input";
-  } catch (const trace::MalformedTraceError& e) {
-    stream_msg = e.what();
-  }
-  std::string buffer_msg;
-  try {
-    trace::read_binary(bytes.data(), bytes.size());
-    FAIL() << what << ": buffer reader accepted degenerate input";
-  } catch (const trace::MalformedTraceError& e) {
-    buffer_msg = e.what();
-  }
-  EXPECT_EQ(stream_msg, buffer_msg) << what;
-
-  // Salvage cannot rescue a file with no usable header either; it must
-  // reject just as loudly rather than return an empty "recovered" trace.
-  try {
-    std::istringstream in(bytes, std::ios::binary);
-    trace::SalvageReport report;
-    trace::read_binary_salvage(in, report);
-    FAIL() << what << ": stream salvage accepted degenerate input";
-  } catch (const trace::MalformedTraceError&) {
-  }
-  try {
-    trace::SalvageReport report;
-    trace::read_binary_salvage(bytes.data(), bytes.size(), report);
-    FAIL() << what << ": buffer salvage accepted degenerate input";
-  } catch (const trace::MalformedTraceError&) {
+  using trace::oracle::ReadOutcome;
+  for (const bool salvage : {false, true}) {
+    // Salvage cannot rescue a file with no usable header either; it must
+    // reject just as loudly rather than return an empty "recovered" trace.
+    const ReadOutcome production =
+        trace::oracle::read_with_production(bytes, salvage);
+    EXPECT_EQ(production.error, ReadOutcome::Error::kMalformed)
+        << what << (salvage ? " salvage: " : " strict: ") << production.what;
+    EXPECT_EQ(trace::oracle::outcome_diff(
+                  trace::oracle::read_with_oracle(bytes, salvage), production),
+              "")
+        << what << (salvage ? " salvage" : " strict");
   }
 }
 
@@ -411,9 +336,8 @@ TEST(FuzzBinaryBytes, TruncationInsideHeaderIsMalformedAtEveryCut) {
   for (std::size_t cut = 1; cut < base.bytes.size(); ++cut) {
     const std::string torn = base.bytes.substr(0, cut);
     try {
-      std::istringstream in(torn, std::ios::binary);
       trace::SalvageReport report;
-      trace::read_binary_salvage(in, report);
+      trace::read_binary_salvage(torn.data(), torn.size(), report);
       header_end = cut;  // first cut the salvage reader survives
       break;
     } catch (const trace::MalformedTraceError&) {

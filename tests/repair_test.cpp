@@ -7,12 +7,15 @@
 // event-based analysis completes on the repaired trace.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 
 #include "core/eventbased.hpp"
 #include "experiments/experiments.hpp"
+#include "oracle/binary_oracle.hpp"
 #include "support/check.hpp"
+#include "support/crc32.hpp"
 #include "trace/faults.hpp"
 #include "trace/io.hpp"
 #include "trace/repair.hpp"
@@ -200,13 +203,12 @@ TEST(Salvage, TruncatedBinarySalvagesNonEmptyPrefix) {
   const std::string torn = truncate_bytes(whole, 0.9);
 
   // Strict read refuses.
-  std::istringstream strict(torn, std::ios::binary);
-  EXPECT_THROW(read_binary(strict), CheckError);
+  EXPECT_THROW(read_binary(torn.data(), torn.size()), CheckError);
 
   // Salvage recovers the longest valid chunk prefix.
-  std::istringstream in(torn, std::ios::binary);
   SalvageReport report;
-  const Trace salvaged = read_binary_salvage(in, report);
+  const Trace salvaged =
+      read_binary_salvage(torn.data(), torn.size(), report);
   EXPECT_FALSE(report.complete);
   EXPECT_GT(salvaged.size(), 0u);
   EXPECT_LT(salvaged.size(), f.measured.size());
@@ -223,9 +225,9 @@ TEST(Salvage, TruncatedBinarySalvagesNonEmptyPrefix) {
 
 TEST(Salvage, IntactFileRoundTripsComplete) {
   const Fixture& f = fixture();
-  std::istringstream in(to_bytes(f.measured), std::ios::binary);
+  const std::string bytes = to_bytes(f.measured);
   SalvageReport report;
-  const Trace back = read_binary_salvage(in, report);
+  const Trace back = read_binary_salvage(bytes.data(), bytes.size(), report);
   EXPECT_TRUE(report.complete);
   EXPECT_EQ(back.size(), f.measured.size());
   EXPECT_EQ(back.info().name, f.measured.info().name);
@@ -238,11 +240,10 @@ TEST(Salvage, FlippedChunkDetectedByChecksum) {
   bytes[bytes.size() - 100] =
       static_cast<char>(static_cast<unsigned char>(bytes[bytes.size() - 100]) ^
                         0x10);
-  std::istringstream strict(bytes, std::ios::binary);
-  EXPECT_THROW(read_binary(strict), CheckError);
-  std::istringstream in(bytes, std::ios::binary);
+  EXPECT_THROW(read_binary(bytes.data(), bytes.size()), CheckError);
   SalvageReport report;
-  const Trace salvaged = read_binary_salvage(in, report);
+  const Trace salvaged =
+      read_binary_salvage(bytes.data(), bytes.size(), report);
   EXPECT_FALSE(report.complete);
   EXPECT_LT(salvaged.size(), f.measured.size());
   EXPECT_NE(report.detail.find("checksum"), std::string::npos)
@@ -283,8 +284,8 @@ std::string encode(const Trace& t) {
 
 TEST(Salvage, ReadsLegacyV1Transparently) {
   const Fixture& f = fixture();
-  std::istringstream in(v1::encode(f.measured), std::ios::binary);
-  const Trace back = read_binary(in);
+  const std::string bytes = v1::encode(f.measured);
+  const Trace back = read_binary(bytes.data(), bytes.size());
   ASSERT_EQ(back.size(), f.measured.size());
   EXPECT_EQ(back.info().num_procs, f.measured.info().num_procs);
   for (std::size_t i = 0; i < back.size(); ++i) {
@@ -296,9 +297,9 @@ TEST(Salvage, ReadsLegacyV1Transparently) {
 TEST(Salvage, TruncatedV1SalvagesPrefix) {
   const Fixture& f = fixture();
   const std::string torn = truncate_bytes(v1::encode(f.measured), 0.5);
-  std::istringstream in(torn, std::ios::binary);
   SalvageReport report;
-  const Trace salvaged = read_binary_salvage(in, report);
+  const Trace salvaged =
+      read_binary_salvage(torn.data(), torn.size(), report);
   EXPECT_FALSE(report.complete);
   EXPECT_GT(salvaged.size(), 0u);
   EXPECT_LT(salvaged.size(), f.measured.size());
@@ -316,14 +317,56 @@ TEST(Salvage, AllocationBombRejectedByName) {
   v1::put<std::uint32_t>(out, 2);    // procs
   v1::put<double>(out, 1.0);         // ticks_per_us
   v1::put<std::uint64_t>(out, 1ull << 60);  // declared count: ~30 exabytes
-  std::istringstream in(out.str(), std::ios::binary);
+  const std::string bytes = out.str();
   try {
-    read_binary(in);
+    read_binary(bytes.data(), bytes.size());
     FAIL() << "absurd #count must be rejected";
   } catch (const IoError& e) {
     EXPECT_NE(std::string(e.what()).find("#count"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(Salvage, V2AllocationBombBoundedByImage) {
+  // v2 guards its header with a CRC, so a v2 bomb takes a writer that lies:
+  // an absurd declared count under a valid header checksum, followed by
+  // the real chunks.
+  const Fixture& f = fixture();
+  std::string bytes = to_bytes(f.measured);
+  std::uint32_t header_len = 0;
+  std::memcpy(&header_len, bytes.data() + 8, sizeof(header_len));
+  char* block = bytes.data() + 12;
+  const std::uint64_t bomb = 1ull << 60;
+  std::memcpy(block + header_len - sizeof(bomb), &bomb, sizeof(bomb));
+  const std::uint32_t crc = support::crc32(block, header_len);
+  std::memcpy(block + header_len, &crc, sizeof(crc));
+
+  // Strict: rejected by name before anything is decoded.
+  try {
+    read_binary(bytes.data(), bytes.size());
+    FAIL() << "absurd #count must be rejected";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("#count"), std::string::npos)
+        << e.what();
+  }
+
+  // Salvage: the whole chunks survive, and storage is never reserved past
+  // what the image can hold.
+  SalvageReport report;
+  const Trace salvaged =
+      read_binary_salvage(bytes.data(), bytes.size(), report);
+  EXPECT_FALSE(report.complete);
+  EXPECT_EQ(report.events_declared, bomb);
+  EXPECT_EQ(salvaged.size(), f.measured.size() / kChunkEvents * kChunkEvents);
+  EXPECT_LE(salvaged.events().capacity(), bytes.size() / kEventBytes + 1);
+
+  // Both modes agree with the istream oracle, message for message.
+  for (const bool salvage : {false, true})
+    EXPECT_EQ(oracle::outcome_diff(oracle::read_with_oracle(bytes, salvage),
+                                   oracle::read_with_production(bytes,
+                                                                salvage)),
+              "")
+        << (salvage ? "salvage" : "strict");
 }
 
 TEST(Salvage, TextProcsBombRejectedByName) {

@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 
+#include "oracle/binary_oracle.hpp"
 #include "support/check.hpp"
 #include "trace/event.hpp"
 #include "trace/io.hpp"
@@ -202,7 +203,8 @@ TEST(TraceIo, BinaryRoundTrip) {
   const Trace t = sample_trace();
   std::stringstream ss;
   write_binary(ss, t);
-  const Trace back = read_binary(ss);
+  const std::string bytes = ss.str();
+  const Trace back = read_binary(bytes.data(), bytes.size());
   EXPECT_EQ(back.info().name, t.info().name);
   ASSERT_EQ(back.size(), t.size());
   for (std::size_t i = 0; i < t.size(); ++i) EXPECT_EQ(back[i], t[i]);
@@ -226,8 +228,12 @@ TEST(TraceIo, TextIgnoresUnknownDirectives) {
 }
 
 TEST(TraceIo, BinaryRejectsBadMagic) {
-  std::stringstream ss("XXXXgarbage");
-  EXPECT_THROW(read_binary(ss), CheckError);
+  // Production and the istream oracle reject alike: same type, same text.
+  const auto production = oracle::read_with_production("XXXXgarbage", false);
+  EXPECT_EQ(production.error, oracle::ReadOutcome::Error::kMalformed);
+  EXPECT_EQ(oracle::outcome_diff(
+                oracle::read_with_oracle("XXXXgarbage", false), production),
+            "");
 }
 
 TEST(TraceIo, BinaryRejectsTruncation) {
@@ -236,13 +242,16 @@ TEST(TraceIo, BinaryRejectsTruncation) {
   write_binary(ss, t);
   std::string data = ss.str();
   data.resize(data.size() / 2);
-  std::stringstream truncated(data);
-  EXPECT_THROW(read_binary(truncated), CheckError);
+  const auto production = oracle::read_with_production(data, false);
+  EXPECT_NE(production.error, oracle::ReadOutcome::Error::kNone);
+  EXPECT_EQ(oracle::outcome_diff(oracle::read_with_oracle(data, false),
+                                 production),
+            "");
 }
 
 TEST(TraceIo, BufferReaderMatchesStreamReader) {
   // Multi-chunk trace (crosses the 1024-event chunk boundary) read through
-  // the zero-copy buffer path and the retained istream path: byte-identical
+  // the production image reader and the istream oracle: byte-identical
   // header fields and events.
   Trace t({"multi-chunk", 3, 2.5});
   for (int i = 0; i < 3000; ++i)
@@ -255,7 +264,7 @@ TEST(TraceIo, BufferReaderMatchesStreamReader) {
 
   const Trace via_buffer = read_binary(bytes.data(), bytes.size());
   std::stringstream in(bytes);
-  const Trace via_stream = read_binary(in);
+  const Trace via_stream = oracle::read_binary(in);
 
   EXPECT_EQ(via_buffer.info().name, t.info().name);
   EXPECT_EQ(via_buffer.info().num_procs, t.info().num_procs);
