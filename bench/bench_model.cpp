@@ -156,8 +156,7 @@ int main(int argc, char** argv) {
       "simulate+reconstruct (DESIGN.md §12)");
 
   const auto grid = acceptance_grid(n, setup);
-  const experiments::GridOptions grid_options{.threads = threads,
-                                              .memoize_actual = true};
+  const experiments::GridOptions grid_options{.threads = threads};
   experiments::ScreenOptions screen_options;
   screen_options.grid = grid_options;
 

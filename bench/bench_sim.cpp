@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
     }
     const auto ref_runs = experiments::run_grid_reference(grid);
     const auto fast_runs =
-        experiments::run_grid(grid, {.threads = 2, .memoize_actual = true});
+        experiments::run_grid(grid, {.threads = 2});
     PERTURB_CHECK_MSG(ref_runs.size() == fast_runs.size(),
                       "grid result count mismatch");
     for (std::size_t i = 0; i < grid.size(); ++i)

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "BENCH whatif",
-      "causal what-if sweeps (delta propagation over the anchor DAG)\n"
+      "causal what-if sweeps (dense lane-batched passes over the anchor DAG)\n"
       "versus rewrite-costs-and-resimulate (DESIGN.md §13)");
 
   std::vector<KernelRow> rows;

@@ -153,7 +153,6 @@ int main(int argc, char** argv) {
   // --- determinism gate: bit-identical at 1 and 8 worker threads --------
   experiments::GridOptions opts;
   opts.threads = threads;
-  opts.memoize_actual = true;
   const auto t0 = Clock::now();
   const auto runs = experiments::run_grid(grid, opts);
   const double grid_s =
@@ -161,7 +160,6 @@ int main(int argc, char** argv) {
   for (const std::size_t alt : {std::size_t{1}, std::size_t{8}}) {
     experiments::GridOptions alt_opts;
     alt_opts.threads = alt;
-    alt_opts.memoize_actual = alt != 1;
     const auto again = experiments::run_grid(grid, alt_opts);
     for (std::size_t i = 0; i < grid.size(); ++i)
       PERTURB_CHECK_MSG(

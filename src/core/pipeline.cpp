@@ -238,65 +238,54 @@ AnalysisPipeline& AnalysisPipeline::add(std::unique_ptr<Analyzer> analyzer) {
   return *this;
 }
 
-AcquireOutcome AnalysisPipeline::acquire_file(const std::string& path) const {
-  trace::IoArena arena;
-  return acquire_file(path, arena);
-}
-
-AcquireOutcome AnalysisPipeline::acquire_file(const std::string& path,
-                                              trace::IoArena& arena) const {
+AcquireOutcome AnalysisPipeline::load(const std::string& path) const {
   checkpoint(options_, "load");
+  const support::PhaseTimer timer(kPhaseLoad);
+  AcquireOutcome loaded;
   if (options_.repair == RepairMode::kOff) {
-    Trace loaded = [&] {
-      const support::PhaseTimer timer(kPhaseLoad);
-      return trace::load(path, arena);
-    }();
-    return acquire(std::move(loaded));
+    loaded.measured = trace::load(path);
+    return loaded;
   }
-
-  AcquireOutcome outcome;
-  {
-    const support::PhaseTimer timer(kPhaseLoad);
-    outcome.measured = trace::load_salvage(path, outcome.salvage, arena);
-  }
-  if (!outcome.salvage.complete) {
-    outcome.salvaged = true;
-    outcome.degraded = true;
-  }
-  if (outcome.measured.empty()) {
-    outcome.diagnosis = support::strf(
+  loaded.measured = trace::load_salvage(path, loaded.salvage);
+  loaded.salvaged = !loaded.salvage.complete;
+  loaded.degraded = loaded.salvaged;
+  if (loaded.measured.empty())
+    loaded.diagnosis = support::strf(
         "trace is unsalvageable: no events recovered from %s", path.c_str());
-    return outcome;
-  }
-  AcquireOutcome triaged = acquire(std::move(outcome.measured));
-  triaged.salvaged = outcome.salvaged;
-  triaged.salvage = std::move(outcome.salvage);
-  triaged.degraded |= outcome.degraded;
-  return triaged;
+  return loaded;
 }
 
-AcquireOutcome AnalysisPipeline::acquire(Trace measured) const {
-  AcquireOutcome outcome;
-  if (measured.empty()) {
-    // A header-only file (declared count 0, or a salvage that recovered
-    // nothing) used to flow all the way into the analyzers and produce NaN
-    // ratios; fail the acquisition with a diagnosis instead.
-    outcome.diagnosis = "trace contains no events; nothing to analyze";
-    outcome.measured = std::move(measured);
-    return outcome;
-  }
+bool AnalysisPipeline::has_events(AcquireOutcome& outcome) {
+  if (!outcome.diagnosis.empty()) return false;
+  if (!outcome.measured.empty()) return true;
+  // A header-only file (declared count 0) used to flow all the way into the
+  // analyzers and produce NaN ratios; fail the acquisition instead.
+  outcome.diagnosis = "trace contains no events; nothing to analyze";
+  return false;
+}
+
+TraceIndex AnalysisPipeline::build_index(
+    const Trace& measured, support::TaskPool& pool,
+    trace::IncrementalTraceIndex* builder) const {
+  checkpoint(options_, "index");
+  const support::PhaseTimer timer(kPhaseIndex);
+  if (builder != nullptr) return std::move(*builder).seal(measured);
+  return TraceIndex(measured, pool);
+}
+
+void AnalysisPipeline::triage(AcquireOutcome& outcome,
+                              const TraceIndex& index) const {
   checkpoint(options_, "triage");
   trace::ValidateOptions validate_opts;
   validate_opts.sync_slack = options_.sync_slack;
   {
     const support::PhaseTimer timer(kPhaseTriage);
-    outcome.violations = trace::validate(measured, validate_opts);
+    outcome.violations = trace::validate(index, validate_opts);
   }
   kTriageViolations.add(outcome.violations.size());
   if (outcome.violations.empty()) {
-    outcome.measured = std::move(measured);
     outcome.ok = true;
-    return outcome;
+    return;
   }
 
   if (options_.repair == RepairMode::kOff) {
@@ -305,8 +294,7 @@ AcquireOutcome AnalysisPipeline::acquire(Trace measured) const {
         "happened-before-consistent trace (enable repair to triage):\n%s",
         outcome.violations.size(),
         trace::describe(outcome.violations).c_str());
-    outcome.measured = std::move(measured);
-    return outcome;
+    return;
   }
 
   checkpoint(options_, "repair");
@@ -315,7 +303,7 @@ AcquireOutcome AnalysisPipeline::acquire(Trace measured) const {
   repair_opts.sync_slack = options_.sync_slack;
   auto result = [&] {
     const support::PhaseTimer timer(kPhaseRepair);
-    return trace::repair(measured, repair_opts);
+    return trace::repair(outcome.measured, outcome.violations, repair_opts);
   }();
   outcome.repaired = true;
   outcome.manifest = std::move(result.manifest);
@@ -327,14 +315,29 @@ AcquireOutcome AnalysisPipeline::acquire(Trace measured) const {
         "trace is unsalvageable: %zu violation(s) survived repair:\n%s",
         outcome.manifest.remaining.size(),
         trace::describe(outcome.manifest.remaining).c_str());
-    outcome.measured = std::move(measured);
-    return outcome;
+    return;
   }
-  outcome.degraded =
-      outcome.manifest.severity >= trace::RepairSeverity::kLossy;
+  outcome.degraded = outcome.degraded ||
+                     outcome.manifest.severity >= trace::RepairSeverity::kLossy;
   outcome.measured = std::move(result.repaired);
   outcome.ok = true;
-  return outcome;
+}
+
+AcquireOutcome AnalysisPipeline::acquire_loaded(AcquireOutcome loaded) const {
+  if (!has_events(loaded)) return loaded;
+  support::TaskPool pool(1);
+  triage(loaded, build_index(loaded.measured, pool));
+  return loaded;
+}
+
+AcquireOutcome AnalysisPipeline::acquire_file(const std::string& path) const {
+  return acquire_loaded(load(path));
+}
+
+AcquireOutcome AnalysisPipeline::acquire(Trace measured) const {
+  AcquireOutcome outcome;
+  outcome.measured = std::move(measured);
+  return acquire_loaded(std::move(outcome));
 }
 
 void AnalysisPipeline::run_analyzers(PipelineResult& result,
@@ -371,96 +374,52 @@ PipelineResult AnalysisPipeline::run(AcquireOutcome acquired,
   if (!result.acquire.ok) return result;
   kRuns.add();
   kEventsMeasured.add(result.acquire.measured.size());
-
-  checkpoint(options_, "index");
   support::TaskPool pool(options_.threads);
-  std::optional<TraceIndex> index;
-  {
-    const support::PhaseTimer timer(kPhaseIndex);
-    index.emplace(result.acquire.measured, pool);
-  }
-  run_analyzers(result, *index, actual, pool);
+  run_analyzers(result, build_index(result.acquire.measured, pool), actual,
+                pool);
   return result;
 }
 
-PipelineResult AnalysisPipeline::run_fused(
-    Trace measured, const Trace* actual, support::TaskPool& pool,
+PipelineResult AnalysisPipeline::analyze(
+    AcquireOutcome loaded, const Trace* actual, support::TaskPool& pool,
     trace::IncrementalTraceIndex* builder) const {
   PipelineResult result;
   AcquireOutcome& outcome = result.acquire;
-  if (measured.empty()) {
-    // Same guard as acquire(): header-only inputs fail with a diagnosis
-    // instead of producing NaN analysis output.
-    outcome.diagnosis = "trace contains no events; nothing to analyze";
-    outcome.measured = std::move(measured);
-    return result;
-  }
-  checkpoint(options_, "index");
-  trace::ValidateOptions validate_opts;
-  validate_opts.sync_slack = options_.sync_slack;
-  outcome.measured = std::move(measured);
+  outcome = std::move(loaded);
+  if (!has_events(outcome)) return result;
   kRuns.add();
   kEventsMeasured.add(outcome.measured.size());
-  // The index must be built after the trace reaches its final address
-  // (outcome.measured); it is read only within this scope.
-  std::optional<TraceIndex> index;
-  {
-    const support::PhaseTimer timer(kPhaseIndex);
-    if (builder != nullptr)
-      index.emplace(std::move(*builder).seal(outcome.measured));
-    else
-      index.emplace(outcome.measured, pool);
-  }
-  {
-    const support::PhaseTimer timer(kPhaseTriage);
-    outcome.violations = trace::validate(*index, validate_opts);
-  }
-  kTriageViolations.add(outcome.violations.size());
-  if (outcome.violations.empty()) {
-    outcome.ok = true;
-    run_analyzers(result, *index, actual, pool);
-    return result;
-  }
-
-  // Violating input: hand the trace to the standard acquire path (diagnosis
-  // or repair).  A repaired trace differs from the loaded one, so the shared
-  // index is of no use past this point.  (Triage runs — and is counted —
-  // again inside acquire; the counters tally work done, not work needed.)
-  PipelineResult degraded;
-  degraded.acquire = acquire(std::move(outcome.measured));
-  if (!degraded.acquire.ok) return degraded;
-  std::optional<TraceIndex> repaired_index;
-  {
-    const support::PhaseTimer timer(kPhaseIndex);
-    repaired_index.emplace(degraded.acquire.measured, pool);
-  }
-  run_analyzers(degraded, *repaired_index, actual, pool);
-  return degraded;
+  // Triage and the analyzers share one index over outcome.measured; a
+  // repair replaces the trace, so only a repaired trace is indexed again.
+  TraceIndex shared = build_index(outcome.measured, pool, builder);
+  triage(outcome, shared);
+  if (!outcome.ok) return result;
+  if (outcome.repaired) shared = build_index(outcome.measured, pool);
+  run_analyzers(result, shared, actual, pool);
+  return result;
 }
 
 PipelineResult AnalysisPipeline::run(Trace measured,
                                      const Trace* actual) const {
+  AcquireOutcome loaded;
+  loaded.measured = std::move(measured);
   support::TaskPool pool(options_.threads);
-  return run_fused(std::move(measured), actual, pool);
+  return analyze(std::move(loaded), actual, pool);
 }
 
 PipelineResult AnalysisPipeline::run_file(const std::string& path,
                                           const Trace* actual) const {
-  if (options_.repair != RepairMode::kOff) return run(acquire_file(path), actual);
-  checkpoint(options_, "load");
   support::TaskPool pool(options_.threads);
-  Trace loaded = [&] {
-    const support::PhaseTimer timer(kPhaseLoad);
-    return trace::load(path);
-  }();
-  return run_fused(std::move(loaded), actual, pool);
+  return analyze(load(path), actual, pool);
 }
 
 PipelineResult AnalysisPipeline::run_sealed(
     Trace measured, trace::IncrementalTraceIndex builder,
     const Trace* actual) const {
+  AcquireOutcome loaded;
+  loaded.measured = std::move(measured);
   support::TaskPool pool(options_.threads);
-  return run_fused(std::move(measured), actual, pool, &builder);
+  return analyze(std::move(loaded), actual, pool, &builder);
 }
 
 StreamOutcome AnalysisPipeline::run_stream_file(const std::string& path,
@@ -578,58 +537,6 @@ StreamOutcome AnalysisPipeline::run_stream_file(const std::string& path,
       static_cast<std::int64_t>(out.resident_high_water));
   out.ok = true;
   return out;
-}
-
-PipelineResult AnalysisPipeline::run_one(const std::string& path,
-                                         const Trace* actual,
-                                         trace::IoArena& arena) const {
-  try {
-    support::TaskPool inline_pool(1);
-    if (options_.repair != RepairMode::kOff) {
-      PipelineResult result;
-      result.acquire = acquire_file(path, arena);
-      if (!result.acquire.ok) return result;
-      kRuns.add();
-      kEventsMeasured.add(result.acquire.measured.size());
-      std::optional<TraceIndex> index;
-      {
-        const support::PhaseTimer timer(kPhaseIndex);
-        index.emplace(result.acquire.measured);
-      }
-      run_analyzers(result, *index, actual, inline_pool);
-      return result;
-    }
-    Trace loaded = [&] {
-      const support::PhaseTimer timer(kPhaseLoad);
-      return trace::load(path, arena);
-    }();
-    return run_fused(std::move(loaded), actual, inline_pool);
-  } catch (const trace::MalformedTraceError& e) {
-    // Invalid content (empty file, bad magic, corrupt header): a per-entry
-    // failure, same as an unreadable file — one bad input must not abort
-    // the batch.
-    PipelineResult failed;
-    failed.acquire.diagnosis = e.what();
-    return failed;
-  } catch (const trace::IoError& e) {
-    PipelineResult failed;
-    failed.acquire.diagnosis = e.what();
-    return failed;
-  }
-}
-
-std::vector<PipelineResult> AnalysisPipeline::run_many(
-    const std::vector<std::string>& paths, const Trace* actual) const {
-  std::vector<PipelineResult> results(paths.size());
-  support::TaskPool pool(options_.threads);
-  std::vector<trace::IoArena> arenas(pool.size());
-  // One file per task; worker w is the sole user of arenas[w], so each
-  // worker's load buffer is allocated once and reused across its block of
-  // files.  Each result slot is written by exactly one task.
-  pool.parallel_for(paths.size(), [&](std::size_t worker, std::size_t k) {
-    results[k] = run_one(paths[k], actual, arenas[worker]);
-  });
-  return results;
 }
 
 std::string render_pipeline_report(const Trace& approx,

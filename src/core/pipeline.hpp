@@ -3,15 +3,17 @@
 // Every consumer of perturbation analysis — the command-line tools, the
 // experiment driver, the benchmarks — runs the same sequence:
 //
-//   load → salvage → triage → repair → index → analyses → quality → report
+//   load → salvage → index → triage → repair → analyses → quality → report
 //
-// This module owns that composition.  The front half (acquisition) turns a
-// trace file or in-memory trace into an analyzable, happened-before
-// consistent measured trace, recording salvage/repair provenance.  The back
-// half builds one shared trace::TraceIndex and runs every registered
-// Analyzer over it — independent passes, so they execute on a deterministic
-// task pool (support::parallel_for) with each analyzer writing only its own
-// output slot.
+// This module owns that composition, and one private function (analyze)
+// is its only implementation.  The front half (acquisition) turns a trace
+// file or in-memory trace into an analyzable, happened-before consistent
+// measured trace, recording salvage/repair provenance.  The index built for
+// triage is the one the analyzers share: a clean trace is indexed once, a
+// repaired one once more after repair.  The back half runs every registered
+// Analyzer over that index — independent passes, so they execute on a
+// deterministic task pool (support::parallel_for) with each analyzer
+// writing only its own output slot.
 //
 // The four approximation modes (time-based §3, event-based §4, liberal
 // §4.3, likely §4.1) are exposed as built-in analyzers; new analyses plug in
@@ -188,27 +190,34 @@ class AnalysisPipeline {
   AnalysisPipeline& add(AnalyzerKind kind);
   AnalysisPipeline& add(std::unique_ptr<Analyzer> analyzer);
 
-  /// Acquisition only: load (salvaging when repairing), triage, repair.
-  /// I/O failures throw trace::IoError; degraded-but-salvageable inputs come
-  /// back ok, unusable ones come back !ok with a diagnosis.
+  /// Acquisition only: load (salvaging when repairing), triage, repair —
+  /// for callers that want the repaired trace itself (perturb-trace repair,
+  /// run_grid_reference).  I/O failures throw trace::IoError;
+  /// degraded-but-salvageable inputs come back ok, unusable ones come back
+  /// !ok with a diagnosis.  Shares its triage/repair step with run_file,
+  /// so run(acquire_file(p)) equals run_file(p) field by field.
   AcquireOutcome acquire_file(const std::string& path) const;
-  /// Same, loading through a caller-owned reusable I/O buffer (see
-  /// trace::IoArena); batched drivers pass one arena per worker.
-  AcquireOutcome acquire_file(const std::string& path,
-                              trace::IoArena& arena) const;
-  /// Same triage/repair over an in-memory trace (no load/salvage stage).
+  /// Same triage/repair over an in-memory trace (no load/salvage stage);
+  /// run(acquire(t)) equals run(t).
   AcquireOutcome acquire(trace::Trace measured) const;
 
-  /// Runs every registered analyzer over one shared index of the acquired
-  /// trace.  When `actual` is non-null, each trace-producing analyzer's
-  /// output is scored against it (flagged degraded per the acquisition).
-  /// When the acquisition failed, no analyzers run.
-  PipelineResult run(AcquireOutcome acquired,
-                     const trace::Trace* actual = nullptr) const;
+  /// Untrusted entry points: load `path` (strict, or salvaging with
+  /// provenance when repairing) or take `measured` as is, then index it
+  /// ONCE, triage through that index, repair on violations (re-indexing
+  /// only the repaired trace), and run every registered analyzer over the
+  /// shared index.  When `actual` is non-null, each trace-producing
+  /// analyzer's output is scored against it (flagged degraded per the
+  /// acquisition).  When acquisition fails, no analyzers run and the result
+  /// carries the diagnosis.
   PipelineResult run(trace::Trace measured,
                      const trace::Trace* actual = nullptr) const;
   PipelineResult run_file(const std::string& path,
                           const trace::Trace* actual = nullptr) const;
+  /// Trusted entry point: analyzes an acquisition as is (no triage) — for
+  /// trusted_acquire output and acquisitions made above.  When the
+  /// acquisition failed, no analyzers run.
+  PipelineResult run(AcquireOutcome acquired,
+                     const trace::Trace* actual = nullptr) const;
 
   /// Streaming analysis: decodes `path` chunk by chunk (trace::ChunkReader)
   /// and re-times events through the windowed event-based reconstructor,
@@ -224,40 +233,36 @@ class AnalysisPipeline {
 
   /// Streaming-server entry: analyzes a trace whose index was built
   /// incrementally while its chunks arrived.  `measured` must hold exactly
-  /// the events appended to `builder`, in order.  Triage validates through
-  /// the sealed index (same fused fast path as run_file); violating traces
-  /// fall back to the standard acquire/repair path.
+  /// the events appended to `builder`, in order.  Same composition as run,
+  /// with the sealed index as the shared one.
   PipelineResult run_sealed(trace::Trace measured,
                             trace::IncrementalTraceIndex builder,
                             const trace::Trace* actual = nullptr) const;
 
-  /// Batched driver: runs the full pipeline over every path, fanning the
-  /// files across options().threads workers with one reusable load buffer
-  /// per worker; each file's analysis runs single-threaded inside its
-  /// worker.  Per-file I/O failures are reported in that entry's
-  /// AcquireOutcome (!ok + diagnosis) instead of thrown, so one unreadable
-  /// file cannot abort the batch.  Results are bit-identical to calling
-  /// run_file on each path in order, at any thread count.
-  std::vector<PipelineResult> run_many(
-      const std::vector<std::string>& paths,
-      const trace::Trace* actual = nullptr) const;
-
  private:
-  /// Triage + analysis sharing ONE TraceIndex on the clean-trace fast path:
-  /// the validator reads the same index the analyzers consume, instead of
-  /// building a private one inside trace::validate.  Falls back to the
-  /// standard acquire (repair) path when triage finds violations, since a
-  /// repaired trace needs a fresh index anyway.  `builder`, when non-null,
-  /// is a chunk-fed incremental index that is sealed over `measured` instead
-  /// of building the index from scratch (the run_sealed path).
-  PipelineResult run_fused(
-      trace::Trace measured, const trace::Trace* actual,
-      support::TaskPool& pool,
+  /// Load stage of the file entry points: strict when repair is off,
+  /// salvage with provenance otherwise (an empty salvage fails with a
+  /// diagnosis).
+  AcquireOutcome load(const std::string& path) const;
+  /// False, with a diagnosis, when `outcome` already failed or holds no
+  /// events.
+  static bool has_events(AcquireOutcome& outcome);
+  /// The index stage: builds the index of `measured` on `pool`, or seals
+  /// `builder` over it when non-null.
+  trace::TraceIndex build_index(
+      const trace::Trace& measured, support::TaskPool& pool,
       trace::IncrementalTraceIndex* builder = nullptr) const;
-  /// run_file body for one batch item: loads through `arena`, runs
-  /// single-threaded, converts trace::IoError into a failed acquisition.
-  PipelineResult run_one(const std::string& path, const trace::Trace* actual,
-                         trace::IoArena& arena) const;
+  /// Triage through `index` (over outcome.measured), then, on violations,
+  /// the diagnosis (repair off) or the repair.  The one place the triage
+  /// verdict and its diagnosis strings are made.  A repair replaces
+  /// outcome.measured, which leaves `index` stale.
+  void triage(AcquireOutcome& outcome, const trace::TraceIndex& index) const;
+  AcquireOutcome acquire_loaded(AcquireOutcome loaded) const;
+  /// The one composition behind every untrusted entry point (see run).
+  PipelineResult analyze(AcquireOutcome loaded, const trace::Trace* actual,
+                         support::TaskPool& pool,
+                         trace::IncrementalTraceIndex* builder = nullptr)
+      const;
   void run_analyzers(PipelineResult& result, const trace::TraceIndex& index,
                      const trace::Trace* actual,
                      support::TaskPool& pool) const;

@@ -56,10 +56,10 @@ LoopRun analyze_pair(trace::Trace actual, trace::Trace measured,
 
   // Fresh simulator output needs no triage unless the caller asked for the
   // repair path.
-  auto acquired = repair == core::RepairMode::kOff
-                      ? core::trusted_acquire(run.measured)
-                      : pipeline.acquire(run.measured);
-  auto result = pipeline.run(std::move(acquired), &run.actual);
+  auto result =
+      repair == core::RepairMode::kOff
+          ? pipeline.run(core::trusted_acquire(run.measured), &run.actual)
+          : pipeline.run(run.measured, &run.actual);
   PERTURB_CHECK_MSG(result.acquire.ok, result.acquire.diagnosis);
 
   run.time_based = std::move(result.outputs[0].approx);

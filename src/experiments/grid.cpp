@@ -164,26 +164,21 @@ std::vector<LoopRun> run_grid(const std::vector<Scenario>& scenarios,
   // depends only on the scenario list, never on timing.
   std::vector<std::size_t> actual_of(scenarios.size());
   std::vector<std::size_t> owner;  ///< first scenario using each unique key
-  if (options.memoize_actual) {
-    std::unordered_map<std::string, std::size_t> key_index;
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      const auto [it, fresh] =
-          key_index.try_emplace(actual_key(scenarios[i]), owner.size());
-      if (fresh) owner.push_back(i);
-      actual_of[i] = it->second;
-    }
+  std::unordered_map<std::string, std::size_t> key_index;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const auto [it, fresh] =
+        key_index.try_emplace(actual_key(scenarios[i]), owner.size());
+    if (fresh) owner.push_back(i);
+    actual_of[i] = it->second;
   }
 
   support::TaskPool pool(options.threads);
   std::vector<trace::IoArena> arenas(pool.size());
-  record_grid_metrics(scenarios.size(),
-                      options.memoize_actual ? owner.size()
-                                             : scenarios.size(),
-                      pool);
+  record_grid_metrics(scenarios.size(), owner.size(), pool);
 
-  // No sharing to exploit (memoization off, or every key unique): one fused
-  // pass with cell-local actual runs instead of a pre-pass plus a barrier.
-  if (!options.memoize_actual || owner.size() == scenarios.size()) {
+  // No sharing to exploit (every key unique): one fused pass with
+  // cell-local actual runs instead of a pre-pass plus a barrier.
+  if (owner.size() == scenarios.size()) {
     // Each cell is self-contained; worker w is the sole user of arenas[w]
     // and each result slot is written by exactly one cell.
     pool.parallel_for(scenarios.size(),

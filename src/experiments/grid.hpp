@@ -15,7 +15,7 @@
 //     load them through one reusable buffer per worker.
 //
 // Results are bit-identical to running each scenario alone, at any thread
-// count and with memoization on or off.
+// count.
 #pragma once
 
 #include <cstdint>
@@ -72,13 +72,13 @@ std::string scenario_name(const Scenario& s);
 LoopRun run_scenario(const Scenario& s);
 
 struct GridOptions {
-  std::size_t threads = 1;     ///< task-pool workers; 0 = hardware concurrency
-  bool memoize_actual = true;  ///< share actual runs across matching cells
+  std::size_t threads = 1;  ///< task-pool workers; 0 = hardware concurrency
 };
 
-/// Runs every scenario across a support::TaskPool.  result[i] is
-/// bit-identical to run_scenario(scenarios[i]) for every thread count and
-/// memoization setting.
+/// Runs every scenario across a support::TaskPool, simulating each distinct
+/// actual run once and sharing it across the cells that match it.
+/// result[i] is bit-identical to run_scenario(scenarios[i]) (which never
+/// shares) for every thread count.
 std::vector<LoopRun> run_grid(const std::vector<Scenario>& scenarios,
                               const GridOptions& options = {});
 

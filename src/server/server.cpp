@@ -126,7 +126,6 @@ struct OpenStream {
 /// Per-worker reusable state; jobs never share any of it.
 struct WorkerState {
   support::CancelToken token;
-  trace::IoArena arena;
 };
 
 constexpr std::uint8_t kKnownRequestFlags = kFlagPayloadIsPath | kFlagPoison |
@@ -227,7 +226,7 @@ struct PerturbServer::Impl {
       return result;
     }
     if (request.flags & kFlagPayloadIsPath)
-      return pipeline.run(pipeline.acquire_file(request.payload, state.arena));
+      return pipeline.run_file(request.payload);
     // Inline payloads are binary trace images (the compact format clients
     // already have on disk or produce from the simulator).
     return pipeline.run(

@@ -3,7 +3,8 @@
 // The server accepts trace-analysis jobs over an AF_UNIX stream socket
 // (length-prefixed frames; see server/protocol.hpp) and shards them across a
 // pool of worker threads, each running the same core::AnalysisPipeline the
-// command-line tools use, with one reusable trace::IoArena per worker.
+// command-line tools use (path jobs go through run_file, like
+// perturb-analyze).
 //
 // Robustness model — the interesting part:
 //

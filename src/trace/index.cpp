@@ -30,6 +30,80 @@ TraceIndex::TraceIndex(ReferenceBuild, const Trace& trace) : trace_(&trace) {
   build_reference();
 }
 
+// The per-event structural transition, shared by build()'s structure scan
+// and IncrementalTraceIndex::append().  The per-event slots of `x` must
+// already hold index i.
+void TraceIndex::StructureScan::step(TraceIndex& x, std::size_t i,
+                                     const Event& e) {
+  // Fork tracking: inside a parallel-loop episode, a processor's first
+  // event depends on the loop's spawn, not on that processor's previous
+  // event (it was idle through the master's sequential section).
+  if (e.kind == EventKind::kLoopBegin) {
+    open_loop = x.loops_.size();
+    x.loops_.push_back({i, npos, e.object, e.proc});
+    if (joined_loop.size() <= e.proc) joined_loop.resize(e.proc + 1u, 0);
+    joined_loop[e.proc] = open_loop + 1;  // master's chain covers it
+  } else if (e.kind == EventKind::kLoopEnd) {
+    if (open_loop != npos) x.loops_[open_loop].end_index = i;
+    open_loop = npos;
+  } else if (open_loop != npos) {
+    if (joined_loop.size() <= e.proc) joined_loop.resize(e.proc + 1u, 0);
+    if (joined_loop[e.proc] != open_loop + 1) {
+      joined_loop[e.proc] = open_loop + 1;
+      x.fork_dep_[i] = x.loops_[open_loop].begin_index;
+    }
+  }
+
+  const SyncKey key{e.object, e.payload};
+  switch (e.kind) {
+    case EventKind::kAdvance:
+      advances.emplace_back(key, i);
+      break;
+    case EventKind::kAwaitBegin:
+      awaits.emplace_back(AwaitKey{key, e.proc}, i);
+      break;
+    case EventKind::kLockAcquire: {
+      const auto lr = last_release.find(e.object);
+      if (lr != last_release.end()) x.lock_dep_[i] = lr->second;
+      break;
+    }
+    case EventKind::kLockRelease:
+      last_release[e.object] = i;
+      break;
+    case EventKind::kSemAcquire:
+      x.sem_ordinal_[i] = sem_acquire_count[e.object]++;
+      break;
+    case EventKind::kSemRelease:
+      x.sem_releases_[e.object].push_back(i);
+      break;
+    case EventKind::kBarrierArrive:
+    case EventKind::kBarrierDepart: {
+      const auto [it, inserted] =
+          x.barrier_slot_.insert({key, x.barriers_.size()});
+      if (inserted) x.barriers_.push_back({key, {}, {}});
+      BarrierEpisode& ep = x.barriers_[it->second];
+      (e.kind == EventKind::kBarrierArrive ? ep.arrivals : ep.departs)
+          .push_back(i);
+      break;
+    }
+    case EventKind::kIterBegin: {
+      if (open_iter.size() <= e.proc) open_iter.resize(e.proc + 1u, npos);
+      open_iter[e.proc] = x.iters_.size();
+      x.iters_.push_back({i, npos, e.payload, e.object, e.proc});
+      break;
+    }
+    case EventKind::kIterEnd: {
+      if (e.proc < open_iter.size() && open_iter[e.proc] != npos) {
+        x.iters_[open_iter[e.proc]].end_index = i;
+        open_iter[e.proc] = npos;
+      }
+      break;
+    }
+    default:
+      break;
+  }
+}
+
 // Optimized builder.  Two independent scans (per-processor chains by
 // counting sort; one structural pass for sync/loop/iteration tables), then
 // three independent table sorts.  ProcId is 16-bit, so proc-indexed vectors
@@ -46,8 +120,7 @@ void TraceIndex::build(support::TaskPool* pool) {
   lock_dep_.assign(n, npos);
   sem_ordinal_.assign(n, npos);
 
-  std::vector<std::pair<SyncKey, std::size_t>> advance_entries;
-  std::vector<std::pair<AwaitKey, std::size_t>> await_entries;
+  StructureScan scan;
 
   auto build_chains = [&] {
     std::vector<std::size_t> counts;
@@ -69,83 +142,7 @@ void TraceIndex::build(support::TaskPool* pool) {
   };
 
   auto build_structure = [&] {
-    std::unordered_map<ObjectId, std::size_t> last_release;
-    std::unordered_map<ObjectId, std::size_t> sem_acquire_count;
-    std::vector<std::size_t> open_iter;    // by proc; npos = none open
-    std::vector<std::size_t> joined_loop;  // by proc; loop ordinal + 1
-    std::size_t open_loop = npos;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      const Event& e = trace[i];
-
-      // Fork tracking: inside a parallel-loop episode, a processor's first
-      // event depends on the loop's spawn, not on that processor's previous
-      // event (it was idle through the master's sequential section).
-      if (e.kind == EventKind::kLoopBegin) {
-        open_loop = loops_.size();
-        loops_.push_back({i, npos, e.object, e.proc});
-        if (joined_loop.size() <= e.proc) joined_loop.resize(e.proc + 1u, 0);
-        joined_loop[e.proc] = open_loop + 1;  // master's chain covers it
-      } else if (e.kind == EventKind::kLoopEnd) {
-        if (open_loop != npos) loops_[open_loop].end_index = i;
-        open_loop = npos;
-      } else if (open_loop != npos) {
-        if (joined_loop.size() <= e.proc) joined_loop.resize(e.proc + 1u, 0);
-        if (joined_loop[e.proc] != open_loop + 1) {
-          joined_loop[e.proc] = open_loop + 1;
-          fork_dep_[i] = loops_[open_loop].begin_index;
-        }
-      }
-
-      const SyncKey key{e.object, e.payload};
-      switch (e.kind) {
-        case EventKind::kAdvance:
-          advance_entries.emplace_back(key, i);
-          break;
-        case EventKind::kAwaitBegin:
-          await_entries.emplace_back(AwaitKey{key, e.proc}, i);
-          break;
-        case EventKind::kLockAcquire: {
-          const auto lr = last_release.find(e.object);
-          if (lr != last_release.end()) lock_dep_[i] = lr->second;
-          break;
-        }
-        case EventKind::kLockRelease:
-          last_release[e.object] = i;
-          break;
-        case EventKind::kSemAcquire:
-          sem_ordinal_[i] = sem_acquire_count[e.object]++;
-          break;
-        case EventKind::kSemRelease:
-          sem_releases_[e.object].push_back(i);
-          break;
-        case EventKind::kBarrierArrive:
-        case EventKind::kBarrierDepart: {
-          const auto [it, inserted] =
-              barrier_slot_.insert({key, barriers_.size()});
-          if (inserted) barriers_.push_back({key, {}, {}});
-          BarrierEpisode& ep = barriers_[it->second];
-          (e.kind == EventKind::kBarrierArrive ? ep.arrivals : ep.departs)
-              .push_back(i);
-          break;
-        }
-        case EventKind::kIterBegin: {
-          if (open_iter.size() <= e.proc) open_iter.resize(e.proc + 1u, npos);
-          open_iter[e.proc] = iters_.size();
-          iters_.push_back({i, npos, e.payload, e.object, e.proc});
-          break;
-        }
-        case EventKind::kIterEnd: {
-          if (e.proc < open_iter.size() && open_iter[e.proc] != npos) {
-            iters_[open_iter[e.proc]].end_index = i;
-            open_iter[e.proc] = npos;
-          }
-          break;
-        }
-        default:
-          break;
-      }
-    }
+    for (std::size_t i = 0; i < n; ++i) scan.step(*this, i, trace[i]);
   };
 
   if (pool != nullptr) {
@@ -160,14 +157,13 @@ void TraceIndex::build(support::TaskPool* pool) {
     build_structure();
   }
 
-  finish_tables(advance_entries, await_entries, pool);
+  finish_tables(scan, pool);
 }
 
 // Shared by build() and IncrementalTraceIndex::seal().
-void TraceIndex::finish_tables(
-    std::vector<std::pair<SyncKey, std::size_t>>& advance_entries,
-    std::vector<std::pair<AwaitKey, std::size_t>>& await_entries,
-    support::TaskPool* pool) {
+void TraceIndex::finish_tables(StructureScan& scan, support::TaskPool* pool) {
+  auto& advance_entries = scan.advances;
+  auto& await_entries = scan.awaits;
   // Flat tables: sort by key then trace index, then split into parallel
   // key/index arrays so per-key occurrence lists are contiguous ascending
   // slices of the index array.
@@ -398,8 +394,9 @@ const TraceIndex::BarrierEpisode* TraceIndex::barrier_episode(
   return it == barrier_slot_.end() ? nullptr : &barriers_[it->second];
 }
 
-// Per-event transition of build()'s two scans (chains + structure), with the
-// scan locals held as members so the state survives between chunks.
+// Per-event transition of build()'s two scans: the chain step inline, the
+// structural step shared through StructureScan, whose state survives
+// between chunks.
 void IncrementalTraceIndex::append(const Event& e) {
   TraceIndex& x = index_;
   const std::size_t i = x.prev_on_proc_.size();
@@ -417,80 +414,14 @@ void IncrementalTraceIndex::append(const Event& e) {
   last_on_proc_[p] = i;
   x.proc_events_[p].push_back(i);
 
-  // Fork tracking: inside a parallel-loop episode, a processor's first
-  // event depends on the loop's spawn, not on that processor's previous
-  // event (it was idle through the master's sequential section).
-  if (e.kind == EventKind::kLoopBegin) {
-    open_loop_ = x.loops_.size();
-    x.loops_.push_back({i, npos, e.object, e.proc});
-    if (joined_loop_.size() <= e.proc) joined_loop_.resize(e.proc + 1u, 0);
-    joined_loop_[e.proc] = open_loop_ + 1;  // master's chain covers it
-  } else if (e.kind == EventKind::kLoopEnd) {
-    if (open_loop_ != npos) x.loops_[open_loop_].end_index = i;
-    open_loop_ = npos;
-  } else if (open_loop_ != npos) {
-    if (joined_loop_.size() <= e.proc) joined_loop_.resize(e.proc + 1u, 0);
-    if (joined_loop_[e.proc] != open_loop_ + 1) {
-      joined_loop_[e.proc] = open_loop_ + 1;
-      x.fork_dep_[i] = x.loops_[open_loop_].begin_index;
-    }
-  }
-
-  const SyncKey key{e.object, e.payload};
-  switch (e.kind) {
-    case EventKind::kAdvance:
-      advance_entries_.emplace_back(key, i);
-      break;
-    case EventKind::kAwaitBegin:
-      await_entries_.emplace_back(TraceIndex::AwaitKey{key, e.proc}, i);
-      break;
-    case EventKind::kLockAcquire: {
-      const auto lr = last_release_.find(e.object);
-      if (lr != last_release_.end()) x.lock_dep_[i] = lr->second;
-      break;
-    }
-    case EventKind::kLockRelease:
-      last_release_[e.object] = i;
-      break;
-    case EventKind::kSemAcquire:
-      x.sem_ordinal_[i] = sem_acquire_count_[e.object]++;
-      break;
-    case EventKind::kSemRelease:
-      x.sem_releases_[e.object].push_back(i);
-      break;
-    case EventKind::kBarrierArrive:
-    case EventKind::kBarrierDepart: {
-      const auto [it, inserted] =
-          x.barrier_slot_.insert({key, x.barriers_.size()});
-      if (inserted) x.barriers_.push_back({key, {}, {}});
-      TraceIndex::BarrierEpisode& ep = x.barriers_[it->second];
-      (e.kind == EventKind::kBarrierArrive ? ep.arrivals : ep.departs)
-          .push_back(i);
-      break;
-    }
-    case EventKind::kIterBegin: {
-      if (open_iter_.size() <= e.proc) open_iter_.resize(e.proc + 1u, npos);
-      open_iter_[e.proc] = x.iters_.size();
-      x.iters_.push_back({i, npos, e.payload, e.object, e.proc});
-      break;
-    }
-    case EventKind::kIterEnd: {
-      if (e.proc < open_iter_.size() && open_iter_[e.proc] != npos) {
-        x.iters_[open_iter_[e.proc]].end_index = i;
-        open_iter_[e.proc] = npos;
-      }
-      break;
-    }
-    default:
-      break;
-  }
+  scan_.step(x, i, e);
 }
 
 TraceIndex IncrementalTraceIndex::seal(const Trace& trace) && {
   PERTURB_CHECK_MSG(trace.size() == size(),
                     "sealed trace does not match the appended events");
   index_.trace_ = &trace;
-  index_.finish_tables(advance_entries_, await_entries_, nullptr);
+  index_.finish_tables(scan_, nullptr);
   return std::move(index_);
 }
 

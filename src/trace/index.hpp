@@ -223,13 +223,29 @@ class TraceIndex {
     }
   };
 
-  /// Shared table finisher: sorts the collected advance/await entries into
+  /// The structural half of construction — fork tracking, advance/await
+  /// entries, lock hand-off, semaphore ordinals and releases, barrier
+  /// episodes, loop and iteration spans — as one per-event step over
+  /// carried scan state.  build() runs it over the whole trace,
+  /// IncrementalTraceIndex::append() once per arriving event, so both
+  /// construction paths apply the same transition.
+  struct StructureScan {
+    std::vector<std::pair<SyncKey, std::size_t>> advances;
+    std::vector<std::pair<AwaitKey, std::size_t>> awaits;
+    std::unordered_map<ObjectId, std::size_t> last_release;
+    std::unordered_map<ObjectId, std::size_t> sem_acquire_count;
+    std::vector<std::size_t> open_iter;    // by proc; npos = none open
+    std::vector<std::size_t> joined_loop;  // by proc; loop ordinal + 1
+    std::size_t open_loop = npos;
+
+    void step(TraceIndex& x, std::size_t i, const Event& e);
+  };
+
+  /// Shared table finisher: sorts the scan's advance/await entries into
   /// the flat key/index arrays, extracts duplicate advances, and orders the
   /// barrier episodes.  Used by build() and by IncrementalTraceIndex::seal()
   /// so both construction paths produce identical tables.
-  void finish_tables(std::vector<std::pair<SyncKey, std::size_t>>& advances,
-                     std::vector<std::pair<AwaitKey, std::size_t>>& awaits,
-                     support::TaskPool* pool);
+  void finish_tables(StructureScan& scan, support::TaskPool* pool);
 
   const Trace* trace_;
   std::vector<std::size_t> prev_on_proc_;
@@ -256,8 +272,8 @@ class TraceIndex {
 
 /// Incremental TraceIndex builder for streaming loads: append events as
 /// chunks arrive, then seal() into the immutable index.  Each append runs
-/// the same per-event transition as build()'s two scans; seal() runs the
-/// same table finishers — so the sealed index is identical (every query
+/// the chain step and the same StructureScan::step as build(); seal() runs
+/// the same table finishers — so the sealed index is identical (every query
 /// answers the same) to a TraceIndex built over the complete trace in one
 /// shot, with ReferenceBuild as the common oracle.
 class IncrementalTraceIndex {
@@ -279,16 +295,9 @@ class IncrementalTraceIndex {
 
  private:
   TraceIndex index_;
-  std::vector<std::pair<SyncKey, std::size_t>> advance_entries_;
-  std::vector<std::pair<TraceIndex::AwaitKey, std::size_t>> await_entries_;
-
   // Scan state carried between appends (the locals of build()'s two scans).
   std::vector<std::size_t> last_on_proc_;
-  std::unordered_map<ObjectId, std::size_t> last_release_;
-  std::unordered_map<ObjectId, std::size_t> sem_acquire_count_;
-  std::vector<std::size_t> open_iter_;    // by proc; npos = none open
-  std::vector<std::size_t> joined_loop_;  // by proc; loop ordinal + 1
-  std::size_t open_loop_ = TraceIndex::npos;
+  TraceIndex::StructureScan scan_;
 };
 
 }  // namespace perturb::trace

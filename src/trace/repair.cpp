@@ -6,6 +6,7 @@
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "support/text.hpp"
 
@@ -144,11 +145,10 @@ class Repairer {
   Repairer(const Trace& trace, const RepairOptions& options)
       : work_(trace), opt_(options) {}
 
-  RepairResult run() {
+  RepairResult run(std::vector<Violation> violations) {
     ValidateOptions vopt;
     vopt.sync_slack = opt_.sync_slack;
     bool escalated = false;
-    auto violations = validate(work_, vopt);
     while (!violations.empty() && manifest_.passes < opt_.max_passes) {
       ++manifest_.passes;
       bool edited = apply_pass(violations);
@@ -644,7 +644,14 @@ std::string render_manifest(const RepairManifest& manifest) {
 }
 
 RepairResult repair(const Trace& trace, const RepairOptions& options) {
-  return Repairer(trace, options).run();
+  ValidateOptions vopt;
+  vopt.sync_slack = options.sync_slack;
+  return repair(trace, validate(trace, vopt), options);
+}
+
+RepairResult repair(const Trace& trace, std::vector<Violation> violations,
+                    const RepairOptions& options) {
+  return Repairer(trace, options).run(std::move(violations));
 }
 
 }  // namespace perturb::trace

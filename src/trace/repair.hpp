@@ -113,5 +113,10 @@ struct RepairResult {
 /// throws on degraded input: an unrepairable trace comes back with severity
 /// kUnsalvageable and the surviving violations in manifest.remaining.
 RepairResult repair(const Trace& trace, const RepairOptions& options = {});
+/// Same, starting from `violations`: the validator's verdict on `trace` at
+/// options.sync_slack, which a caller that already triaged passes in
+/// instead of paying for a second validation.
+RepairResult repair(const Trace& trace, std::vector<Violation> violations,
+                    const RepairOptions& options);
 
 }  // namespace perturb::trace

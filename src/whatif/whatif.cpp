@@ -1,7 +1,6 @@
 #include "whatif/whatif.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 
 #include "support/metrics.hpp"
@@ -26,6 +25,7 @@ const support::Counter& experiments_counter() {
   static const support::Counter c("whatif.experiments");
   return c;
 }
+/// Dense anchor evaluations: anchors x lanes of every sweep block.
 const support::Counter& frontier_counter() {
   static const support::Counter c("whatif.frontier.events");
   return c;
@@ -44,8 +44,8 @@ const support::Gauge& edges_gauge() {
 /// hand-off release of a lock acquisition, every episode arrival a barrier
 /// departure waited for (all of them, since re-evaluation can reorder which
 /// one is latest), and otherwise the spawning LoopBegin (fork dependency).
-/// Emission order is deterministic (arrivals in trace order), which both
-/// evaluation paths rely on for identical tie-breaks.
+/// Emission order is deterministic (arrivals in trace order), which the
+/// engine and the reference oracle rely on for identical tie-breaks.
 template <typename Fn>
 void for_each_cross_pred(const TraceIndex& idx, std::size_t i, Fn&& fn) {
   const Trace& t = idx.trace();
@@ -263,13 +263,13 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
   chain_.assign(a_n, knone);
   gap_.assign(a_n, 0);
   d_.assign(a_n, 0);
-  t0_.assign(a_n, 0);
+  std::vector<Tick> t0(a_n, 0);  // baseline (recovered) time
   w0_.assign(a_n, 0);
   proc_.assign(a_n, 0);
   for (std::size_t s = 0; s < a_n; ++s) {
     const std::size_t i = event_of_[s];
     d_[s] = event_d[i];
-    t0_[s] = t[i].time;
+    t0[s] = t[i].time;
     proc_[s] = t[i].proc;
   }
 
@@ -285,7 +285,7 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
         const std::uint32_t s = slot_of[i];
         chain_[s] = prev_anchor;
         gap_[s] = (prev_anchor != knone && prev_event != event_of_[prev_anchor])
-                      ? t[prev_event].time - t0_[prev_anchor]
+                      ? t[prev_event].time - t0[prev_anchor]
                       : 0;
         prev_anchor = s;
       } else {
@@ -305,7 +305,7 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
     }
   }
 
-  // -- cross predecessor / successor tables --------------------------------
+  // -- cross predecessor tables --------------------------------------------
   pred_off_.assign(a_n + 1, 0);
   for (std::size_t s = 0; s < a_n; ++s) {
     const std::size_t i = event_of_[s];
@@ -320,31 +320,17 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
     for (std::size_t c = cross_off[i]; c < cross_off[i + 1]; ++c)
       pred_[out++] = slot_of[cross_flat[c]];
   }
-  std::vector<std::uint32_t> succ_count(a_n, 0);
-  for (std::size_t s = 0; s < a_n; ++s) {
-    if (chain_[s] != knone) ++succ_count[chain_[s]];
-    for (std::uint32_t c = pred_off_[s]; c < pred_off_[s + 1]; ++c)
-      ++succ_count[pred_[c]];
-  }
-  succ_off_.assign(a_n + 1, 0);
+  // Edges: one per chain link plus one per cross predecessor.
+  edges_ = pred_.size();
   for (std::size_t s = 0; s < a_n; ++s)
-    succ_off_[s + 1] = succ_off_[s] + succ_count[s];
-  succ_.assign(succ_off_[a_n], knone);
-  std::vector<std::uint32_t> fill(succ_off_.begin(), succ_off_.end() - 1);
-  for (std::size_t s = 0; s < a_n; ++s) {
-    const std::uint32_t me = static_cast<std::uint32_t>(s);
-    if (chain_[s] != knone) succ_[fill[chain_[s]]++] = me;
-    for (std::uint32_t c = pred_off_[s]; c < pred_off_[s + 1]; ++c)
-      succ_[fill[pred_[c]]++] = me;
-  }
-  edges_ = succ_.size();
+    if (chain_[s] != knone) ++edges_;
 
   // -- baseline waiting ----------------------------------------------------
   // w = (t0 - d) - chain candidate: how long the chain stalled on a cross
   // dependency before this anchor.  Plain events wait 0 by construction.
   for (std::size_t s = 0; s < a_n; ++s) {
     if (chain_[s] == knone || !has_pred[event_of_[s]]) continue;
-    w0_[s] = (t0_[s] - d_[s]) - (t0_[chain_[s]] + gap_[s]);
+    w0_[s] = (t0[s] - d_[s]) - (t0[chain_[s]] + gap_[s]);
   }
 
   // -- per-processor endpoints and baseline metrics ------------------------
@@ -360,8 +346,8 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
   bool seen = false;
   for (std::size_t p = 0; p < first_slot_.size(); ++p) {
     if (first_slot_[p] == knone) continue;
-    const Tick f = t0_[first_slot_[p]];
-    const Tick l = t0_[last_slot_[p]];
+    const Tick f = t0[first_slot_[p]];
+    const Tick l = t0[last_slot_[p]];
     if (!seen || f < lo) lo = f;
     if (!seen || l > hi) hi = l;
     seen = true;
@@ -372,7 +358,7 @@ WhatIfDag::WhatIfDag(const TraceIndex& idx, const SiteRegistry& sites)
     if (proc_[s] < baseline_.waiting.size())
       baseline_.waiting[proc_[s]] += w0_[s];
   baseline_.critical_path = walk_critical_path(
-      [&](std::uint32_t s) { return t0_[s]; },
+      [&](std::uint32_t s) { return t0[s]; },
       [](std::uint32_t) -> Tick { return 0; });
 
   // -- site membership -----------------------------------------------------
@@ -430,59 +416,39 @@ Tick WhatIfDag::walk_critical_path(TimeFn&& time_of,
   return time_of(end) - time_of(cur);
 }
 
-struct WhatIfEngine::Scratch {
-  std::vector<Tick> time, gapdel, removal, wait;
-  std::vector<std::uint32_t> time_ep, gapdel_ep, removal_ep, queued_ep;
-  std::vector<std::uint32_t> heap;
-  std::uint32_t epoch = 0;
-
-  void ensure(std::size_t anchors, std::size_t procs) {
-    if (time.size() != anchors) {
-      time.assign(anchors, 0);
-      gapdel.assign(anchors, 0);
-      removal.assign(anchors, 0);
-      time_ep.assign(anchors, 0);
-      gapdel_ep.assign(anchors, 0);
-      removal_ep.assign(anchors, 0);
-      queued_ep.assign(anchors, 0);
-      epoch = 0;
-    }
-    wait.assign(procs, 0);
-  }
-};
-
-/// Scratch for one dense sweep block: lane-minor rows (slot s, lane l at
-/// index s * kLaneWidth + l), so the per-anchor chain and predecessor loads
-/// are shared by all lanes of a cache line.  The removal and gapdel arrays
-/// hold the all-zero invariant between blocks — evaluate_block re-zeroes
-/// exactly the member entries it seeded, never the whole arena.
+/// Scratch for one dense sweep block of `width` lanes: lane-minor rows
+/// (slot s, lane l at index s * width + l), so the per-anchor chain and
+/// predecessor loads are shared by all lanes of a cache line.  The removal
+/// and gapdel arrays hold the all-zero invariant between blocks —
+/// evaluate_block re-zeroes exactly the member entries it seeded, never the
+/// whole arena.
 struct WhatIfEngine::BatchScratch {
   std::vector<Tick> time, removal, gapdel, wait;
 
-  void ensure(std::size_t anchors, std::size_t procs) {
-    if (time.size() != anchors * kLaneWidth) {
-      time.assign(anchors * kLaneWidth, 0);
-      removal.assign(anchors * kLaneWidth, 0);
-      gapdel.assign(anchors * kLaneWidth, 0);
+  void ensure(std::size_t anchors, std::size_t procs, std::size_t width) {
+    if (time.size() != anchors * width) {
+      time.assign(anchors * width, 0);
+      removal.assign(anchors * width, 0);
+      gapdel.assign(anchors * width, 0);
     }
-    wait.assign(procs * kLaneWidth, 0);
+    wait.assign(procs * width, 0);
   }
 };
 
 WhatIfEngine::WhatIfEngine(const WhatIfDag& dag) : dag_(&dag) {}
 WhatIfEngine::~WhatIfEngine() = default;
 
+template <std::size_t kW>
 void WhatIfEngine::evaluate_block(const WhatIfPlan* plans, std::size_t lanes,
                                   BatchScratch& sc, WhatIfResult* out) const {
   const WhatIfDag& g = *dag_;
-  constexpr std::size_t kW = kLaneWidth;
   const std::size_t anchors = g.num_anchors();
   const std::size_t procs = g.baseline_.waiting.size();
-  sc.ensure(anchors, procs);
+  sc.ensure(anchors, procs, kW);
 
   // Seed every lane's removals: member anchors scale their own cost, plain
-  // members fold into the gap before their owning anchor — the same
-  // arithmetic the sparse path applies, just written into lane columns.
+  // members fold into the gap before their owning anchor (lane columns of
+  // the removal and gapdel rows).
   for (std::size_t l = 0; l < lanes; ++l) {
     const WhatIfDag::SiteMembers& m =
         g.members_[static_cast<std::size_t>(plans[l].site)];
@@ -494,12 +460,13 @@ void WhatIfEngine::evaluate_block(const WhatIfPlan* plans, std::size_t lanes,
 
   // One dense forward pass in slot (= topological) order.  Anchors the
   // experiment does not touch re-evaluate to their baseline times exactly
-  // (telescoping), so no frontier bookkeeping is needed — each anchor's
-  // shared fields are loaded once and applied row-wise to every lane (the
-  // lane loops are branch-free over contiguous rows, so they vectorize).
-  // All kW columns are computed even on a partial block: unseeded columns
-  // have zero removals and just reproduce the baseline, and ensure() /
-  // the end-of-block re-zeroing keep their state well defined.
+  // (telescoping), so every anchor is evaluated unconditionally — each
+  // anchor's shared fields are loaded once and applied row-wise to every
+  // lane (the lane loops are branch-free over contiguous rows, so they
+  // vectorize).
+  // All kW columns are computed even on a partial run_many block: unseeded
+  // columns have zero removals and just reproduce the baseline, and
+  // ensure() / the end-of-block re-zeroing keep their state well defined.
   for (std::size_t s = 0; s < anchors; ++s) {
     const std::uint32_t q = g.chain_[s];
     const Tick gap = g.gap_[s];
@@ -588,112 +555,6 @@ void WhatIfEngine::validate(const WhatIfPlan& plan) const {
                       static_cast<long long>(plan.pct)));
 }
 
-WhatIfResult WhatIfEngine::evaluate(const WhatIfPlan& plan,
-                                    Scratch& sc) const {
-  const WhatIfDag& g = *dag_;
-  const std::size_t procs = g.baseline_.waiting.size();
-  sc.ensure(g.num_anchors(), procs);
-  const std::uint32_t ep = ++sc.epoch;
-  sc.heap.clear();
-
-  const auto push = [&](std::uint32_t s) {
-    if (sc.queued_ep[s] == ep) return;
-    sc.queued_ep[s] = ep;
-    sc.heap.push_back(s);
-    std::push_heap(sc.heap.begin(), sc.heap.end(),
-                   std::greater<std::uint32_t>());
-  };
-  const auto time_of = [&](std::uint32_t s) {
-    return sc.time_ep[s] == ep ? sc.time[s] : g.t0_[s];
-  };
-  const auto gap_removal = [&](std::uint32_t s) -> Tick {
-    return sc.gapdel_ep[s] == ep ? sc.gapdel[s] : 0;
-  };
-
-  // Seed: member anchors scale their own cost; plain members fold their
-  // removals into the gap before their owning anchor.  Zero removals change
-  // nothing and are skipped, keeping the frontier cone tight.
-  const WhatIfDag::SiteMembers& m =
-      g.members_[static_cast<std::size_t>(plan.site)];
-  for (const auto& [owner, d] : m.plain) {
-    const Tick r = removal_of(d, plan.pct);
-    if (r == 0) continue;
-    if (sc.gapdel_ep[owner] != ep) {
-      sc.gapdel_ep[owner] = ep;
-      sc.gapdel[owner] = 0;
-    }
-    sc.gapdel[owner] += r;
-    push(owner);
-  }
-  for (const std::uint32_t s : m.anchors) {
-    const Tick r = removal_of(g.d_[s], plan.pct);
-    if (r == 0) continue;
-    sc.removal_ep[s] = ep;
-    sc.removal[s] = r;
-    push(s);
-  }
-
-  // Forward delta propagation: anchors pop in ascending slot (= trace =
-  // topological) order, so every predecessor is final when read.
-  // Successors are pushed only when a time actually changed.
-  std::uint64_t evaluated = 0;
-  while (!sc.heap.empty()) {
-    std::pop_heap(sc.heap.begin(), sc.heap.end(),
-                  std::greater<std::uint32_t>());
-    const std::uint32_t s = sc.heap.back();
-    sc.heap.pop_back();
-    ++evaluated;
-
-    const std::uint32_t q = g.chain_[s];
-    bool any = false;
-    Tick base = 0;
-    Tick chain_t = 0;
-    if (q != WhatIfDag::knone) {
-      chain_t = time_of(q) + g.gap_[s] - gap_removal(s);
-      base = chain_t;
-      any = true;
-    }
-    for (std::uint32_t c = g.pred_off_[s]; c < g.pred_off_[s + 1]; ++c) {
-      const Tick pt = time_of(g.pred_[c]);
-      if (!any || pt > base) base = pt;
-      any = true;
-    }
-    const Tick d =
-        g.d_[s] - (sc.removal_ep[s] == ep ? sc.removal[s] : 0);
-    const Tick t = (any ? base : 0) + d;
-    const Tick w = (q != WhatIfDag::knone && any) ? base - chain_t : 0;
-    if (g.proc_[s] < sc.wait.size())
-      sc.wait[g.proc_[s]] += w - g.w0_[s];
-
-    const Tick old = g.t0_[s];
-    sc.time_ep[s] = ep;
-    sc.time[s] = t;
-    if (t != old)
-      for (std::uint32_t c = g.succ_off_[s]; c < g.succ_off_[s + 1]; ++c)
-        push(g.succ_[c]);
-  }
-  frontier_counter().add(evaluated);
-  experiments_counter().add();
-
-  WhatIfResult out;
-  Tick lo = 0, hi = 0;
-  bool seen = false;
-  for (std::size_t p = 0; p < g.first_slot_.size(); ++p) {
-    if (g.first_slot_[p] == WhatIfDag::knone) continue;
-    const Tick f = time_of(g.first_slot_[p]);
-    const Tick l = time_of(g.last_slot_[p]);
-    if (!seen || f < lo) lo = f;
-    if (!seen || l > hi) hi = l;
-    seen = true;
-  }
-  out.makespan = seen ? hi - lo : 0;
-  out.waiting.resize(procs);
-  for (std::size_t p = 0; p < procs; ++p)
-    out.waiting[p] = g.baseline_.waiting[p] + sc.wait[p];
-  out.critical_path = g.walk_critical_path(time_of, gap_removal);
-  return out;
-}
-
 const WhatIfResult& WhatIfEngine::run(const WhatIfPlan& plan) {
   validate(plan);
   const auto key = std::make_pair(plan.site, plan.pct);
@@ -702,9 +563,12 @@ const WhatIfResult& WhatIfEngine::run(const WhatIfPlan& plan) {
     memo_counter().add();
     return it->second;
   }
-  if (serial_scratch_.empty()) serial_scratch_.resize(1);
-  return memo_.emplace(key, evaluate(plan, serial_scratch_[0]))
-      .first->second;
+  // The same dense sweep run_many fans out, one lane wide, on the engine's
+  // own scratch.
+  if (scratch_ == nullptr) scratch_ = std::make_unique<BatchScratch>();
+  WhatIfResult result;
+  evaluate_block<1>(&plan, 1, *scratch_, &result);
+  return memo_.emplace(key, std::move(result)).first->second;
 }
 
 std::vector<WhatIfResult> WhatIfEngine::run_many(
@@ -743,7 +607,7 @@ std::vector<WhatIfResult> WhatIfEngine::run_many(
     WhatIfResult lane_out[kLaneWidth];
     for (std::size_t l = 0; l < lanes; ++l)
       lane_plans[l] = plans[miss[begin + l]];
-    evaluate_block(lane_plans, lanes, scratch[worker], lane_out);
+    evaluate_block<kLaneWidth>(lane_plans, lanes, scratch[worker], lane_out);
     for (std::size_t l = 0; l < lanes; ++l) {
       const std::size_t i = miss[begin + l];
       results[i] = std::move(lane_out[l]);

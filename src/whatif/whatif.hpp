@@ -24,26 +24,25 @@
 // Perf core.  The dependency DAG is built ONCE per trace (`WhatIfDag`),
 // compressed to *anchors* — events that carry cross dependencies, feed
 // them, or bound a processor's chain.  Runs of plain chain-only events
-// between anchors collapse into gap sums, so an experiment evaluates by
-// forward delta propagation over the anchor graph from the perturbed site
-// only: a min-heap frontier pops anchors in trace (= topological) order and
-// pushes successors only when a time actually changed.  Small speedups
-// touch a small cone.  `whatif_reference` rewrites every event's cost and
-// re-simulates the full trace — the equivalence oracle: both paths are
-// bit-identical by construction (same arithmetic, same rules).
-//
-// Sweeps batch further: run_many evaluates distinct plans in lane blocks —
-// one dense forward pass over the anchor arrays computes kLaneWidth
-// experiments at once (lane-minor time rows), so the chain and
-// cross-predecessor loads are paid once per anchor, not once per
-// experiment.  Blocks fan out across a support::TaskPool with per-worker
-// scratch arenas and results are memoized per (site, pct) like
-// experiments::run_grid memoizes actual runs; results are bit-identical at
-// any thread count and identical between the sparse and batched paths.
+// between anchors collapse into gap sums.  One evaluator answers every
+// experiment: a dense forward pass over the anchor arrays in trace (=
+// topological) order.  run_many computes kLaneWidth experiments per pass
+// (lane-minor time rows), so the chain and cross-predecessor loads are paid
+// once per anchor, not once per experiment, and fans the blocks out across
+// a support::TaskPool with per-worker scratch; run() makes the same pass
+// one lane wide.  Anchors an experiment does not touch re-evaluate to their
+// baseline times exactly, so no change frontier is tracked: on the
+// full-size Livermore traces a frontier-driven sparse evaluator was ~4x
+// slower per experiment (DESIGN.md §13).  Results are memoized per (site,
+// pct) like experiments::run_grid memoizes actual runs, and are
+// bit-identical at any thread count.  `whatif_reference` rewrites every
+// event's cost and re-simulates the full trace — the equivalence oracle:
+// same arithmetic, same rules, no anchor compression.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -168,13 +167,10 @@ class WhatIfDag {
   std::vector<Tick> gap_;               ///< plain-run cost between chain_ and
                                         ///< this anchor (telescoped t0 sum)
   std::vector<Tick> d_;                 ///< the anchor's own local cost
-  std::vector<Tick> t0_;                ///< baseline (recovered) time
   std::vector<Tick> w0_;                ///< baseline waiting at this anchor
   std::vector<trace::ProcId> proc_;
   std::vector<std::uint32_t> pred_off_;  ///< cross preds, flat [off, off+1)
   std::vector<std::uint32_t> pred_;
-  std::vector<std::uint32_t> succ_off_;  ///< dependents, flat
-  std::vector<std::uint32_t> succ_;
 
   std::vector<std::uint32_t> first_slot_;  ///< per proc, knone if no events
   std::vector<std::uint32_t> last_slot_;
@@ -191,7 +187,7 @@ struct SiteImpact {
   WhatIfResult result;
 };
 
-/// Runs experiments against one WhatIfDag by forward delta propagation,
+/// Runs experiments against one WhatIfDag by dense lane-batched sweeps,
 /// memoizing per (site, pct).  Not thread-safe across calls: use one engine
 /// per thread; `run_many` parallelizes internally (bit-identical results at
 /// any pool size).  The DAG must outlive the engine.
@@ -200,17 +196,16 @@ class WhatIfEngine {
   explicit WhatIfEngine(const WhatIfDag& dag);
   ~WhatIfEngine();
 
-  /// One experiment.  Throws std::invalid_argument for a plan with an
-  /// out-of-range site or pct outside (0, 100].
+  /// One experiment, evaluated as a one-lane sweep block and memoized; the
+  /// reference stays valid for the engine's lifetime.  Throws
+  /// std::invalid_argument for a plan with an out-of-range site or pct
+  /// outside (0, 100].
   const WhatIfResult& run(const WhatIfPlan& plan);
 
   /// A batch of experiments, memo-deduplicated then fanned out across
   /// `pool` with per-worker scratch arenas.  results[i] corresponds to
-  /// plans[i].  Distinct plans evaluate in lane-batched blocks: one dense
-  /// forward pass over the anchor arrays computes up to kLaneWidth
-  /// experiments at once (lane-minor time rows), amortizing the chain and
-  /// cross-predecessor traversal that dominates a single sparse evaluation.
-  /// Bit-identical to run() — both paths share the same arithmetic.
+  /// plans[i].  Distinct plans evaluate kLaneWidth to a sweep block.
+  /// Bit-identical to run() on each plan.
   std::vector<WhatIfResult> run_many(const std::vector<WhatIfPlan>& plans,
                                      support::TaskPool& pool);
 
@@ -225,24 +220,24 @@ class WhatIfEngine {
   const WhatIfDag& dag() const noexcept { return *dag_; }
 
  private:
-  struct Scratch;
   struct BatchScratch;
 
-  WhatIfResult evaluate(const WhatIfPlan& plan, Scratch& scratch) const;
-  /// Dense lane-batched evaluation: `lanes` (<= kLaneWidth) plans in one
-  /// forward pass over every anchor, writing out[0..lanes).
+  /// The evaluator: `lanes` (<= kW) plans in one dense forward pass over
+  /// every anchor, writing out[0..lanes).  run() sweeps kW = 1, run_many
+  /// kW = kLaneWidth.
+  template <std::size_t kW>
   void evaluate_block(const WhatIfPlan* plans, std::size_t lanes,
                       BatchScratch& scratch, WhatIfResult* out) const;
   void validate(const WhatIfPlan& plan) const;
 
   const WhatIfDag* dag_;
-  std::vector<Scratch> serial_scratch_;  ///< lazily sized, for run()
+  std::unique_ptr<BatchScratch> scratch_;  ///< lazily built, for run()
   std::map<std::pair<SiteId, std::int64_t>, WhatIfResult> memo_;
 };
 
 /// The equivalence oracle: rewrites every event's local cost (scaling the
 /// plan's site members) and re-simulates the full trace event by event —
-/// no anchor compression, no delta propagation, no memoization.  Slow by
+/// no anchor compression, no lane batching, no memoization.  Slow by
 /// design; bit-identical to WhatIfEngine::run on every trace.
 WhatIfResult whatif_reference(const trace::TraceIndex& index,
                               const SiteRegistry& sites,

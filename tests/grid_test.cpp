@@ -94,7 +94,7 @@ std::vector<Scenario> mixed_grid() {
 
 TEST(Grid, MatchesSerialScenarioLoop) {
   const auto grid = mixed_grid();
-  const auto runs = run_grid(grid, {.threads = 1, .memoize_actual = true});
+  const auto runs = run_grid(grid, {.threads = 1});
   ASSERT_EQ(runs.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i)
     expect_runs_identical(runs[i], run_scenario(grid[i]),
@@ -113,9 +113,9 @@ TEST(Grid, MatchesSerialExperimentDrivers) {
 
 TEST(Grid, ThreadCountInvariant) {
   const auto grid = mixed_grid();
-  const auto at1 = run_grid(grid, {.threads = 1, .memoize_actual = true});
-  const auto at2 = run_grid(grid, {.threads = 2, .memoize_actual = true});
-  const auto at8 = run_grid(grid, {.threads = 8, .memoize_actual = true});
+  const auto at1 = run_grid(grid, {.threads = 1});
+  const auto at2 = run_grid(grid, {.threads = 2});
+  const auto at8 = run_grid(grid, {.threads = 8});
   for (std::size_t i = 0; i < grid.size(); ++i) {
     expect_runs_identical(at1[i], at2[i], "1v2 cell " + std::to_string(i));
     expect_runs_identical(at1[i], at8[i], "1v8 cell " + std::to_string(i));
@@ -123,11 +123,14 @@ TEST(Grid, ThreadCountInvariant) {
 }
 
 TEST(Grid, MemoizationInvariant) {
+  // run_grid shares one actual run across matching cells; run_scenario
+  // never does, so memoized cells must equal unmemoized ones.
   const auto grid = mixed_grid();
-  const auto memo = run_grid(grid, {.threads = 2, .memoize_actual = true});
-  const auto no_memo = run_grid(grid, {.threads = 2, .memoize_actual = false});
+  const auto memo = run_grid(grid, {.threads = 2});
+  ASSERT_EQ(memo.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i)
-    expect_runs_identical(memo[i], no_memo[i], "cell " + std::to_string(i));
+    expect_runs_identical(memo[i], run_scenario(grid[i]),
+                          "cell " + std::to_string(i));
 }
 
 TEST(Grid, RepairModesWithFaultInjection) {
@@ -147,8 +150,8 @@ TEST(Grid, RepairModesWithFaultInjection) {
     };
     grid.push_back(dropped);
   }
-  const auto at1 = run_grid(grid, {.threads = 1, .memoize_actual = true});
-  const auto at8 = run_grid(grid, {.threads = 8, .memoize_actual = true});
+  const auto at1 = run_grid(grid, {.threads = 1});
+  const auto at8 = run_grid(grid, {.threads = 8});
   ASSERT_EQ(at1.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     expect_runs_identical(at1[i], run_scenario(grid[i]),
@@ -179,7 +182,7 @@ TEST(Grid, ReferenceDriverIdentical) {
   std::vector<Scenario> grid;
   grid.push_back(concurrent(3, 120, PlanKind::kFull));
   grid.push_back(concurrent(17, 100, PlanKind::kStatementsOnly));
-  const auto fast = run_grid(grid, {.threads = 2, .memoize_actual = true});
+  const auto fast = run_grid(grid, {.threads = 2});
   const auto ref = run_grid_reference(grid);
   ASSERT_EQ(ref.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i)

@@ -7,6 +7,9 @@
 //     same measured trace (the refactor changed plumbing, not results);
 //   * acquisition matches the standalone triage/repair path on
 //     fault-injected traces;
+//   * the untrusted entry points (run_file, run) equal running the
+//     acquisition-only API's outcome, field by field, on faulted, torn and
+//     clean inputs in every repair mode;
 //   * the Monte-Carlo explorer is bit-identical at 1, 2, and 8 worker
 //     threads;
 //   * TraceIndex answers structural queries exactly as a linear scan would.
@@ -14,8 +17,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <map>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/eventbased.hpp"
@@ -158,56 +165,220 @@ TEST(Pipeline, LikelyExecutionsBitIdenticalAt1And2And8Threads) {
   EXPECT_EQ(samples[0], samples[2]);
 }
 
-// ---- batched driver: run_many == run_file, at every thread count ---------
+// ---- one composition: run_file/run == run of the acquisition ------------
 
-TEST(Pipeline, RunManyMatchesRunFileAtOneTwoAndEightThreads) {
-  const std::vector<int> loops = {3, 4, 17};
-  std::vector<std::string> paths;
-  Fixture f = make_fixture(loops[0]);
-  for (const int loop : loops) {
-    const Fixture item = loop == loops[0] ? f : make_fixture(loop);
-    const std::string path =
-        "/tmp/perturb_test_run_many_" + std::to_string(loop) + ".bin";
-    trace::save(path, item.measured);
-    paths.push_back(path);
+/// One entry point's outcome: its result, or the message it threw.
+struct Attempt {
+  std::optional<PipelineResult> result;
+  std::string error;
+};
+
+template <typename Fn>
+Attempt attempt(Fn&& fn) {
+  try {
+    return {fn(), ""};
+  } catch (const std::exception& e) {
+    return {std::nullopt, e.what()};
   }
-  // A missing file must come back !ok with a diagnosis, not abort the batch.
-  paths.push_back("/tmp/perturb_test_run_many_missing.bin");
+}
 
-  AnalysisPipeline reference(options_for(f));
-  reference.add(AnalyzerKind::kTimeBased).add(AnalyzerKind::kEventBased);
-  std::vector<PipelineResult> expected;
-  for (std::size_t i = 0; i < loops.size(); ++i)
-    expected.push_back(reference.run_file(paths[i]));
+void expect_same_violations(const std::vector<trace::Violation>& a,
+                            const std::vector<trace::Violation>& b,
+                            const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].kind, b[i].kind) << what << " #" << i;
+    EXPECT_EQ(a[i].message, b[i].message) << what << " #" << i;
+    EXPECT_EQ(a[i].event_index, b[i].event_index) << what << " #" << i;
+  }
+}
 
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+void expect_same_quality(const ApproximationQuality& a,
+                         const ApproximationQuality& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.measured_over_actual, b.measured_over_actual) << what;
+  EXPECT_EQ(a.approx_over_actual, b.approx_over_actual) << what;
+  EXPECT_EQ(a.percent_error, b.percent_error) << what;
+  EXPECT_EQ(a.mean_abs_event_error, b.mean_abs_event_error) << what;
+  EXPECT_EQ(a.rms_event_error, b.rms_event_error) << what;
+  EXPECT_EQ(a.p50_event_error, b.p50_event_error) << what;
+  EXPECT_EQ(a.p95_event_error, b.p95_event_error) << what;
+  EXPECT_EQ(a.matched_events, b.matched_events) << what;
+  EXPECT_EQ(a.degraded_input, b.degraded_input) << what;
+}
+
+/// Field-by-field equality of two pipeline results (or of the errors the
+/// two entry points threw).
+void expect_same_attempt(const Attempt& a, const Attempt& b,
+                         const std::string& what) {
+  ASSERT_EQ(a.result.has_value(), b.result.has_value())
+      << what << ": " << a.error << " | " << b.error;
+  if (!a.result.has_value()) {
+    EXPECT_EQ(a.error, b.error) << what;
+    return;
+  }
+  const AcquireOutcome& x = a.result->acquire;
+  const AcquireOutcome& y = b.result->acquire;
+  EXPECT_EQ(x.ok, y.ok) << what;
+  EXPECT_EQ(x.diagnosis, y.diagnosis) << what;
+  EXPECT_TRUE(same_trace(x.measured, y.measured)) << what;
+  expect_same_violations(x.violations, y.violations, what + " triage");
+
+  EXPECT_EQ(x.repaired, y.repaired) << what;
+  const trace::RepairManifest& m = x.manifest;
+  const trace::RepairManifest& n = y.manifest;
+  ASSERT_EQ(m.actions.size(), n.actions.size()) << what;
+  for (std::size_t i = 0; i < m.actions.size(); ++i) {
+    EXPECT_EQ(m.actions[i].kind, n.actions[i].kind) << what;
+    EXPECT_EQ(m.actions[i].strategy, n.actions[i].strategy) << what;
+    EXPECT_EQ(m.actions[i].event_index, n.actions[i].event_index) << what;
+    EXPECT_EQ(m.actions[i].ticks_adjusted, n.actions[i].ticks_adjusted)
+        << what;
+    EXPECT_EQ(m.actions[i].detail, n.actions[i].detail) << what;
+  }
+  EXPECT_EQ(m.actions_truncated, n.actions_truncated) << what;
+  EXPECT_EQ(m.severity, n.severity) << what;
+  EXPECT_EQ(m.passes, n.passes) << what;
+  EXPECT_EQ(m.events_dropped, n.events_dropped) << what;
+  EXPECT_EQ(m.events_synthesized, n.events_synthesized) << what;
+  EXPECT_EQ(m.events_adjusted, n.events_adjusted) << what;
+  EXPECT_EQ(m.total_ticks_adjusted, n.total_ticks_adjusted) << what;
+  expect_same_violations(m.remaining, n.remaining, what + " remaining");
+
+  EXPECT_EQ(x.salvaged, y.salvaged) << what;
+  EXPECT_EQ(x.salvage.complete, y.salvage.complete) << what;
+  EXPECT_EQ(x.salvage.version, y.salvage.version) << what;
+  EXPECT_EQ(x.salvage.events_declared, y.salvage.events_declared) << what;
+  EXPECT_EQ(x.salvage.events_recovered, y.salvage.events_recovered) << what;
+  EXPECT_EQ(x.salvage.chunks_total, y.salvage.chunks_total) << what;
+  EXPECT_EQ(x.salvage.chunks_recovered, y.salvage.chunks_recovered) << what;
+  EXPECT_EQ(x.salvage.detail, y.salvage.detail) << what;
+  EXPECT_EQ(x.degraded, y.degraded) << what;
+
+  const auto& ox = a.result->outputs;
+  const auto& oy = b.result->outputs;
+  ASSERT_EQ(ox.size(), oy.size()) << what;
+  for (std::size_t k = 0; k < ox.size(); ++k) {
+    EXPECT_EQ(ox[k].analyzer, oy[k].analyzer) << what;
+    EXPECT_TRUE(same_trace(ox[k].approx, oy[k].approx))
+        << what << " analyzer " << ox[k].analyzer;
+    ASSERT_EQ(ox[k].quality.has_value(), oy[k].quality.has_value()) << what;
+    if (ox[k].quality.has_value())
+      expect_same_quality(*ox[k].quality, *oy[k].quality,
+                          what + " " + ox[k].analyzer);
+  }
+}
+
+std::string binary_image(const trace::Trace& t) {
+  std::ostringstream out;
+  trace::write_binary(out, t);
+  return out.str();
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The fault corpus: 32 seeded trace-level injections (random drops, clock
+/// skew, both) on one Livermore trace, each with a named case.
+std::vector<std::pair<std::string, trace::Trace>> faulted_traces(
+    const trace::Trace& measured) {
+  std::vector<std::pair<std::string, trace::Trace>> cases;
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    trace::Trace t;
+    switch (seed % 3) {
+      case 0: t = trace::drop_random_events(measured, 0.02, seed); break;
+      case 1: t = trace::skew_timestamps(measured, 40, 0.2, seed); break;
+      default:
+        t = trace::skew_timestamps(
+            trace::drop_random_events(measured, 0.01, seed), 30, 0.1, seed);
+        break;
+    }
+    cases.emplace_back("seed " + std::to_string(seed), std::move(t));
+  }
+  return cases;
+}
+
+/// One input of the equivalence corpus: an in-memory trace for run(), a
+/// file image for run_file(), or both.
+struct EntryCase {
+  std::string name;
+  std::optional<trace::Trace> trace;
+  std::optional<std::string> bytes;
+};
+
+TEST(Pipeline, RunAndRunFileEqualRunOfAcquisitionOnFaultedAndTornInputs) {
+  const Fixture f = make_fixture(17);
+  // The seeded injections and one clean trace go through both entry
+  // points; torn (byte-cut) and bit-flipped images only exist as files,
+  // truncated and empty traces only in memory.
+  std::vector<EntryCase> cases;
+  for (auto& [name, t] : faulted_traces(f.measured)) {
+    std::string bytes = binary_image(t);
+    cases.push_back({name, std::move(t), std::move(bytes)});
+  }
+  const std::string clean = binary_image(f.measured);
+  cases.push_back({"clean", f.measured, clean});
+  for (const double keep : {0.05, 0.3, 0.55, 0.8, 0.97, 0.999})
+    cases.push_back({"torn file " + std::to_string(keep), std::nullopt,
+                     trace::truncate_bytes(clean, keep)});
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::string flipped = clean;
+    trace::flip_bits(flipped, 1, seed);
+    cases.push_back({"flipped " + std::to_string(seed), std::nullopt,
+                     std::move(flipped)});
+  }
+  for (const double keep : {0.1, 0.5, 0.9})
+    cases.push_back({"torn trace " + std::to_string(keep),
+                     trace::truncate_trace(f.measured, keep), std::nullopt});
+  cases.push_back({"empty", trace::Trace(f.measured.info()), std::nullopt});
+
+  const std::string path = testing::TempDir() + "pipeline_consolidated.bin";
+  std::size_t repaired = 0, salvaged = 0, failed = 0;
+  const auto tally = [&](const Attempt& a) {
+    if (!a.result.has_value()) return;
+    if (a.result->acquire.repaired) ++repaired;
+    if (a.result->acquire.salvaged) ++salvaged;
+    if (!a.result->acquire.ok) ++failed;
+  };
+  for (const RepairMode mode : {RepairMode::kOff, RepairMode::kConservative,
+                                RepairMode::kAggressive}) {
     PipelineOptions options = options_for(f);
-    options.threads = threads;
+    options.repair = mode;
     AnalysisPipeline pipeline(std::move(options));
     pipeline.add(AnalyzerKind::kTimeBased).add(AnalyzerKind::kEventBased);
-    const std::vector<PipelineResult> results = pipeline.run_many(paths);
-    ASSERT_EQ(results.size(), paths.size());
-    for (std::size_t i = 0; i < loops.size(); ++i) {
-      ASSERT_TRUE(results[i].acquire.ok) << results[i].acquire.diagnosis;
-      ASSERT_EQ(results[i].outputs.size(), expected[i].outputs.size());
-      for (std::size_t k = 0; k < expected[i].outputs.size(); ++k) {
-        EXPECT_TRUE(same_trace(results[i].outputs[k].approx,
-                               expected[i].outputs[k].approx))
-            << "file " << i << " analyzer " << k << " at " << threads
-            << " threads";
+    for (const EntryCase& c : cases) {
+      const std::string what = c.name + " mode " + std::to_string(int(mode));
+      if (c.trace) {
+        const Attempt fused =
+            attempt([&] { return pipeline.run(*c.trace, &f.actual); });
+        const Attempt staged = attempt([&] {
+          return pipeline.run(pipeline.acquire(*c.trace), &f.actual);
+        });
+        expect_same_attempt(fused, staged, what + " run");
+        tally(fused);
       }
-      ASSERT_TRUE(results[i].outputs[1].event_stats.has_value());
-      ASSERT_TRUE(expected[i].outputs[1].event_stats.has_value());
-      EXPECT_EQ(results[i].outputs[1].event_stats->waits_removed,
-                expected[i].outputs[1].event_stats->waits_removed);
+      if (c.bytes) {
+        write_bytes(path, *c.bytes);
+        const Attempt fused =
+            attempt([&] { return pipeline.run_file(path, &f.actual); });
+        const Attempt staged = attempt([&] {
+          return pipeline.run(pipeline.acquire_file(path), &f.actual);
+        });
+        expect_same_attempt(fused, staged, what + " run_file");
+        tally(fused);
+      }
     }
-    EXPECT_FALSE(results.back().acquire.ok);
-    EXPECT_FALSE(results.back().acquire.diagnosis.empty());
-    EXPECT_TRUE(results.back().outputs.empty());
   }
-  for (std::size_t i = 0; i < loops.size(); ++i)
-    std::remove(paths[i].c_str());
+  std::remove(path.c_str());
+  // The corpus exercises the rejection, repair and salvage branches, not
+  // just the clean path.
+  std::printf("%zu repaired, %zu salvaged, %zu failed acquisitions\n",
+              repaired, salvaged, failed);
+  EXPECT_GE(repaired, 80u);
+  EXPECT_GE(salvaged, 8u);
+  EXPECT_GE(failed, 40u);
 }
 
 // ---- acquisition: triage, repair, trust ----------------------------------

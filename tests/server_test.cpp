@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -505,6 +506,38 @@ TEST(Server, ChunkedJobDecodeFailureRepliesAtTheFailingFrame) {
   EXPECT_EQ(repaired.status, JobStatus::kOk);
   EXPECT_NE(repaired.detail.find("salvaged=1"), std::string::npos);
   EXPECT_NE(repaired.detail.find("degraded=1"), std::string::npos);
+  daemon.shutdown();
+}
+
+TEST(Server, TornPathJobWithRepairMatchesInBandJob) {
+  const std::string socket_path = test_socket();
+  PerturbServer daemon(base_config(socket_path, 1));
+  daemon.start();
+  Client client(socket_path);
+
+  // The same torn image sent in band (chunked) and named by path, both
+  // with repair on: the reader-side salvage and the worker's run_file
+  // salvage must produce byte-identical replies.
+  JobRequest torn = job(20, kMaskTimeBased | kMaskEventBased);
+  torn.payload.resize(torn.payload.size() * 3 / 5);
+  torn.repair = static_cast<std::uint8_t>(core::RepairMode::kConservative);
+  const JobReply in_band = client.call_stream(torn, 4096);
+  ASSERT_EQ(in_band.status, JobStatus::kOk) << in_band.detail;
+  EXPECT_NE(in_band.detail.find("salvaged=1"), std::string::npos);
+
+  const std::string path = test_socket() + ".torn.bin";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(torn.payload.data(),
+              static_cast<std::streamsize>(torn.payload.size()));
+  }
+  JobRequest by_path = torn;
+  by_path.flags = kFlagPayloadIsPath;
+  by_path.payload = path;
+  const JobReply path_reply = client.call(by_path);
+  ::unlink(path.c_str());
+  EXPECT_EQ(encode_reply(path_reply), encode_reply(in_band))
+      << path_reply.detail << "\n--- vs ---\n" << in_band.detail;
   daemon.shutdown();
 }
 

@@ -194,18 +194,15 @@ TEST(Grid, WorkloadCellsAreThreadCountAndMemoizationInvariant) {
   std::vector<experiments::LoopRun> serial;
   for (const auto& s : grid) serial.push_back(experiments::run_scenario(s));
 
+  // run_grid memoizes the duplicate's actual run; the serial loop does not.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool memoize : {false, true}) {
-      experiments::GridOptions options;
-      options.threads = threads;
-      options.memoize_actual = memoize;
-      const auto runs = experiments::run_grid(grid, options);
-      ASSERT_EQ(runs.size(), serial.size());
-      for (std::size_t i = 0; i < runs.size(); ++i)
-        EXPECT_TRUE(runs_equal(runs[i], serial[i]))
-            << "cell " << i << " threads " << threads << " memoize "
-            << memoize;
-    }
+    experiments::GridOptions options;
+    options.threads = threads;
+    const auto runs = experiments::run_grid(grid, options);
+    ASSERT_EQ(runs.size(), serial.size());
+    for (std::size_t i = 0; i < runs.size(); ++i)
+      EXPECT_TRUE(runs_equal(runs[i], serial[i]))
+          << "cell " << i << " threads " << threads;
   }
   EXPECT_TRUE(runs_equal(serial.front(), serial.back()));  // duplicate cell
 }
@@ -219,7 +216,6 @@ TEST(Grid, MemoKeysKeepDistinctWorkloadsApart) {
   light.params.alpha = 8.0;
   experiments::GridOptions options;
   options.threads = 2;
-  options.memoize_actual = true;
   const auto runs =
       experiments::run_grid({cell_of(heavy), cell_of(light)}, options);
   EXPECT_TRUE(
