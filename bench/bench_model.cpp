@@ -14,10 +14,17 @@
 //     error) pair is written to MODEL_crossval.json — the calibration
 //     evidence behind experiments::kDefaultScreenThreshold.
 //
-// Timing then measures run_grid_screened against run_grid on the 12-cell
-// grid (the perf headline: >=3x) and on an all-confident DOALL sweep (the
-// near-O(1) case).  Speedups are screened-vs-unscreened in the same
-// process, so they are comparable across hosts (absolute rates are not).
+// Timing then gates two properties, each a ratio of times in the same
+// process, so comparable across hosts (absolute rates are not):
+//
+//   * screen_12cell_overhead: run_grid over the 12-cell grid's three
+//     fall-through cells alone, divided by run_grid_screened over the whole
+//     grid — what screening adds on top of the work it cannot skip
+//     (floor 0.8: at most 25% extra).  The whole-grid unscreened/screened
+//     ratio it replaced as the gate is still printed and written, unfloored,
+//     since it falls whenever per-cell analysis gets cheaper;
+//   * screen_confident_sweep: run_grid over an all-confident DOALL sweep
+//     divided by run_grid_screened over it (the near-O(1) case, >=10x).
 // Results go to JSON (--out, default BENCH_model.json); tools/check_bench.py
 // gates CI runs against bench/baseline/BENCH_model.json.
 #include <algorithm>
@@ -26,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -62,6 +70,28 @@ double time_best(std::size_t reps, Fn&& body) {
     if (elapsed > 0.0 && (best == 0.0 || elapsed < best)) best = elapsed;
   }
   return best;
+}
+
+/// Median of `reps` runs of each body, alternating between them so a slow
+/// spell on a shared host lands on both sides of their ratio.
+template <typename FnA, typename FnB>
+std::pair<double, double> time_median_interleaved(std::size_t reps, FnA&& a,
+                                                  FnB&& b) {
+  std::vector<double> ta, tb;
+  for (std::size_t r = 0; r < reps; ++r) {
+    auto start = Clock::now();
+    a();
+    ta.push_back(seconds_since(start));
+    start = Clock::now();
+    b();
+    tb.push_back(seconds_since(start));
+  }
+  const auto median = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + std::ptrdiff_t(v.size() / 2),
+                     v.end());
+    return v[v.size() / 2];
+  };
+  return {median(ta), median(tb)};
 }
 
 bool traces_equal(const trace::Trace& a, const trace::Trace& b) {
@@ -136,6 +166,7 @@ std::vector<experiments::Scenario> acceptance_grid(
 }
 
 constexpr std::size_t kExpectedConfident = 9;
+constexpr std::size_t kOverheadReps = 50;
 
 }  // namespace
 
@@ -290,12 +321,32 @@ int main(int argc, char** argv) {
     if (experiments::run_grid(grid, grid_options).size() != grid.size())
       std::abort();
   });
-  const double screened_s = time_best(reps, [&] {
+  const auto run_screened = [&] {
     if (experiments::run_grid_screened(grid, screen_options).cells.size() !=
         grid.size())
       std::abort();
-  });
+  };
+  const double screened_s = time_best(reps, run_screened);
   const double speedup12 = screened_s > 0.0 ? unscreened_s / screened_s : 0.0;
+
+  // Screening overhead: the whole grid screened against its fall-through
+  // cells alone.  Three cells on two workers finish fast or slow depending
+  // on which worker takes which cell, so the fastest run of either side is
+  // a rare lucky one; the medians of interleaved runs hold still.
+  std::vector<experiments::Scenario> fallthrough_cells;
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    if (!screened.cells[i].screened) fallthrough_cells.push_back(grid[i]);
+  const auto run_fallthrough = [&] {
+    if (experiments::run_grid(fallthrough_cells, grid_options).size() !=
+        fallthrough_cells.size())
+      std::abort();
+  };
+  const auto [screened_median_s, fallthrough_median_s] =
+      time_median_interleaved(std::max(reps, kOverheadReps), run_screened,
+                              run_fallthrough);
+  const double overhead12 = screened_median_s > 0.0
+                                ? fallthrough_median_s / screened_median_s
+                                : 0.0;
 
   // All-confident sweep: DOALL loops across plans — the model answers every
   // cell, so the screened sweep does no simulation at all.
@@ -328,10 +379,13 @@ int main(int argc, char** argv) {
   std::printf(
       "\ntiming (n=%lld, %zu reps, %zu threads)\n"
       "  12-cell grid      unscreened %8.1f ms   screened %8.1f ms  %7.2fx\n"
+      "  overhead (median) fall-through only %6.1f ms   screened %8.1f ms  "
+      "%7.3f\n"
       "  confident sweep   unscreened %8.1f ms   screened %8.3f ms  %7.2fx "
       "(%zu cells)\n",
       static_cast<long long>(n), reps, threads, unscreened_s * 1e3,
-      screened_s * 1e3, speedup12, sweep_unscreened_s * 1e3,
+      screened_s * 1e3, speedup12, fallthrough_median_s * 1e3,
+      screened_median_s * 1e3, overhead12, sweep_unscreened_s * 1e3,
       sweep_screened_s * 1e3, sweep_speedup, confident_sweep.size());
 
   // --- JSON ---------------------------------------------------------------
@@ -339,6 +393,7 @@ int main(int argc, char** argv) {
       "{\n  \"bench\": \"model\",\n  \"n\": %lld,\n  \"crossval_n\": %lld,\n"
       "  \"rates\": {\"screen_12cell_screened\": %.1f, "
       "\"screen_12cell_unscreened\": %.1f, "
+      "\"screen_12cell_fallthrough_only\": %.1f, "
       "\"screen_confident_sweep_screened\": %.1f, "
       "\"screen_confident_sweep_unscreened\": %.1f},\n"
       "  \"screen\": {\"confident\": %zu, \"fallthrough\": %zu},\n"
@@ -347,16 +402,18 @@ int main(int argc, char** argv) {
       "\"crossval_fallthrough_min_uncertainty\": %.3f},\n",
       static_cast<long long>(n), static_cast<long long>(crossval_n),
       cells12 / screened_s, cells12 / unscreened_s,
+      static_cast<double>(fallthrough_cells.size()) / fallthrough_median_s,
       sweep_cells / sweep_screened_s, sweep_cells / sweep_unscreened_s,
       screened.confident, screened.fallthrough, confident_max_err,
       cv_confident_max_err, cv_uncertain_min_u);
   json += support::strf(
-      "  \"speedups\": {\"screen_12cell\": %.3f, "
+      "  \"unfloored\": {\"screen_12cell\": %.3f},\n"
+      "  \"speedups\": {\"screen_12cell_overhead\": %.3f, "
       "\"screen_confident_sweep\": %.3f},\n",
-      speedup12, sweep_speedup);
-  // The bars this PR was built to clear: 3x on the mixed acceptance grid,
-  // an order of magnitude when the model screens every cell.
-  json += "  \"floors\": {\"screen_12cell\": 3.0, "
+      speedup12, overhead12, sweep_speedup);
+  // Screening may add at most 25% over the fall-through work it cannot
+  // skip, and must gain an order of magnitude when it screens every cell.
+  json += "  \"floors\": {\"screen_12cell_overhead\": 0.8, "
           "\"screen_confident_sweep\": 10.0}\n}\n";
 
   std::string werr;

@@ -8,7 +8,10 @@
 //     simulate_reference(), for Livermore loop 3 (the DOACROSS acceptance
 //     workload) and loop 17, under NullInstrumentation and the full
 //     cost-table plan;
-//   * trace compare: trace::compare() versus compare_reference();
+//   * trace compare: trace::compare() versus compare_reference(), once on
+//     a pair the per-processor match answers (trace_compare) and once on a
+//     pareto-workload pair that takes the hash fallback
+//     (trace_compare_fallback);
 //   * grid: wall-clock of experiments::run_grid over the machine-size
 //     ablation's scenario set (loops 3 and 17 across processor counts) at 1
 //     and 8 worker threads, versus run_grid_reference(), the serial
@@ -30,8 +33,10 @@
 #include "sim/engine.hpp"
 #include "support/check.hpp"
 #include "support/fsio.hpp"
+#include "support/metrics.hpp"
 #include "support/text.hpp"
 #include "trace/trace_stats.hpp"
+#include "workload/workload.hpp"
 
 namespace {
 
@@ -116,6 +121,51 @@ Entry bench_simulate(const std::string& key, const sim::MachineConfig& cfg,
   return e;
 }
 
+bool comparisons_equal(const trace::TraceComparison& a,
+                       const trace::TraceComparison& b) {
+  return a.matched_events == b.matched_events &&
+         a.unmatched_a == b.unmatched_a && a.unmatched_b == b.unmatched_b &&
+         a.mean_abs_time_error == b.mean_abs_time_error &&
+         a.rms_time_error == b.rms_time_error &&
+         a.p50_abs_time_error == b.p50_abs_time_error &&
+         a.p95_abs_time_error == b.p95_abs_time_error &&
+         a.max_abs_time_error == b.max_abs_time_error &&
+         a.total_time_ratio == b.total_time_ratio;
+}
+
+/// Times trace::compare(a, b) against compare_reference after checking them
+/// bit-identical and checking which matcher compare takes: the hash
+/// fallback when `fallback`, the per-processor match otherwise.
+Entry bench_compare(const std::string& key, const trace::Trace& a,
+                    const trace::Trace& b, bool fallback, std::size_t reps) {
+  support::Metrics::enable(true);
+  support::Metrics::reset();
+  const auto fast_cmp = trace::compare(a, b);
+  const auto fallbacks =
+      support::Metrics::snapshot().counters.at("trace.compare.fallbacks");
+  support::Metrics::enable(false);
+  PERTURB_CHECK_MSG(fallbacks == (fallback ? 1u : 0u),
+                    key + ": compare took the other matcher");
+  PERTURB_CHECK_MSG(comparisons_equal(fast_cmp, trace::compare_reference(a, b)),
+                    key + ": compare differs from compare_reference");
+  const auto events = static_cast<double>(a.size());
+  Entry e;
+  e.key = key;
+  e.fast_rate = events / time_best(reps, [&] {
+    const auto c = trace::compare(a, b);
+    if (c.matched_events != fast_cmp.matched_events) std::abort();
+  });
+  e.ref_rate = events / time_best(reps, [&] {
+    const auto c = trace::compare_reference(a, b);
+    if (c.matched_events != fast_cmp.matched_events) std::abort();
+  });
+  std::printf("  %-22s %12.0f ev/s fast %12.0f ev/s ref  %6.2fx (%zu vs %zu "
+              "events)\n",
+              e.key.c_str(), e.fast_rate, e.ref_rate, e.speedup(), a.size(),
+              b.size());
+  return e;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -151,38 +201,31 @@ int main(int argc, char** argv) {
   entries.push_back(bench_simulate("simulate_full_lfk17", setup.machine,
                                    lfk17, full_plan, reps));
 
-  // --- trace compare: hashed matcher vs ordered-map reference ------------
+  // --- trace compare: both matchers vs the ordered-map reference ---------
   {
     const auto measured =
         sim::simulate(setup.machine, lfk17, full_plan, "cmp/measured");
     const auto actual =
         sim::simulate_actual(setup.machine, lfk17, "cmp/actual");
-    const auto fast_cmp = trace::compare(measured, actual);
-    const auto ref_cmp = trace::compare_reference(measured, actual);
-    PERTURB_CHECK_MSG(
-        fast_cmp.matched_events == ref_cmp.matched_events &&
-            fast_cmp.unmatched_a == ref_cmp.unmatched_a &&
-            fast_cmp.unmatched_b == ref_cmp.unmatched_b &&
-            fast_cmp.mean_abs_time_error == ref_cmp.mean_abs_time_error &&
-            fast_cmp.rms_time_error == ref_cmp.rms_time_error &&
-            fast_cmp.p50_abs_time_error == ref_cmp.p50_abs_time_error &&
-            fast_cmp.p95_abs_time_error == ref_cmp.p95_abs_time_error &&
-            fast_cmp.max_abs_time_error == ref_cmp.max_abs_time_error,
-        "trace compare differs from compare_reference");
-    const auto events = static_cast<double>(measured.size());
-    Entry e;
-    e.key = "trace_compare";
-    e.fast_rate = events / time_best(reps, [&] {
-      const auto c = trace::compare(measured, actual);
-      if (c.matched_events != fast_cmp.matched_events) std::abort();
-    });
-    e.ref_rate = events / time_best(reps, [&] {
-      const auto c = trace::compare_reference(measured, actual);
-      if (c.matched_events != fast_cmp.matched_events) std::abort();
-    });
-    std::printf("\ntrace compare (%zu vs %zu events)\n  %-22s %6.2fx\n",
-                measured.size(), actual.size(), e.key.c_str(), e.speedup());
-    entries.push_back(e);
+    std::printf("\ntrace compare\n");
+    entries.push_back(
+        bench_compare("trace_compare", measured, actual, false, reps));
+
+    // A pareto-family approximation differs from its actual run in
+    // identity, so compare answers it with the hash matcher.
+    workload::WorkloadSpec spec;
+    spec.family = workload::Family::kPareto;
+    spec.seed = 7;
+    spec.params = workload::default_params(spec.family);
+    spec.params.trip = sim_n;
+    experiments::Scenario cell;
+    cell.setup = setup;
+    cell.plan = experiments::PlanKind::kFull;
+    cell.workload = spec;
+    const auto run = experiments::run_scenario(cell);
+    entries.push_back(bench_compare("trace_compare_fallback",
+                                    run.event_based.approx, run.actual, true,
+                                    reps));
   }
 
   // --- grid: parallel memoized driver vs serial reference driver ---------

@@ -238,21 +238,49 @@ AnalysisPipeline& AnalysisPipeline::add(std::unique_ptr<Analyzer> analyzer) {
   return *this;
 }
 
-AcquireOutcome AnalysisPipeline::load(const std::string& path) const {
-  checkpoint(options_, "load");
+namespace {
+
+/// The load stage of every byte source: `strict()` when repair is off,
+/// `salvage(report)` with provenance otherwise (an empty salvage fails with
+/// a diagnosis naming `source`).
+template <typename Strict, typename Salvage>
+AcquireOutcome load_stage(const PipelineOptions& options,
+                          const std::string& source, Strict strict,
+                          Salvage salvage) {
+  checkpoint(options, "load");
   const support::PhaseTimer timer(kPhaseLoad);
   AcquireOutcome loaded;
-  if (options_.repair == RepairMode::kOff) {
-    loaded.measured = trace::load(path);
+  if (options.repair == RepairMode::kOff) {
+    loaded.measured = strict();
     return loaded;
   }
-  loaded.measured = trace::load_salvage(path, loaded.salvage);
+  loaded.measured = salvage(loaded.salvage);
   loaded.salvaged = !loaded.salvage.complete;
   loaded.degraded = loaded.salvaged;
   if (loaded.measured.empty())
     loaded.diagnosis = support::strf(
-        "trace is unsalvageable: no events recovered from %s", path.c_str());
+        "trace is unsalvageable: no events recovered from %s", source.c_str());
   return loaded;
+}
+
+}  // namespace
+
+AcquireOutcome AnalysisPipeline::load(const std::string& path) const {
+  return load_stage(
+      options_, path, [&] { return trace::load(path); },
+      [&](trace::SalvageReport& report) {
+        return trace::load_salvage(path, report);
+      });
+}
+
+AcquireOutcome AnalysisPipeline::load_image(const char* data,
+                                            std::size_t size) const {
+  return load_stage(
+      options_, "the inline image",
+      [&] { return trace::read_binary(data, size); },
+      [&](trace::SalvageReport& report) {
+        return trace::read_binary_salvage(data, size, report);
+      });
 }
 
 bool AnalysisPipeline::has_events(AcquireOutcome& outcome) {
@@ -411,6 +439,12 @@ PipelineResult AnalysisPipeline::run_file(const std::string& path,
                                           const Trace* actual) const {
   support::TaskPool pool(options_.threads);
   return analyze(load(path), actual, pool);
+}
+
+PipelineResult AnalysisPipeline::run_image(const char* data, std::size_t size,
+                                           const Trace* actual) const {
+  support::TaskPool pool(options_.threads);
+  return analyze(load_image(data, size), actual, pool);
 }
 
 PipelineResult AnalysisPipeline::run_sealed(

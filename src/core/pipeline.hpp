@@ -213,6 +213,10 @@ class AnalysisPipeline {
                      const trace::Trace* actual = nullptr) const;
   PipelineResult run_file(const std::string& path,
                           const trace::Trace* actual = nullptr) const;
+  /// run_file over the bytes of a binary trace file already in memory: the
+  /// same strict or salvaging load stage, decoding `data` in place.
+  PipelineResult run_image(const char* data, std::size_t size,
+                           const trace::Trace* actual = nullptr) const;
   /// Trusted entry point: analyzes an acquisition as is (no triage) — for
   /// trusted_acquire output and acquisitions made above.  When the
   /// acquisition failed, no analyzers run.
@@ -244,6 +248,7 @@ class AnalysisPipeline {
   /// salvage with provenance otherwise (an empty salvage fails with a
   /// diagnosis).
   AcquireOutcome load(const std::string& path) const;
+  AcquireOutcome load_image(const char* data, std::size_t size) const;
   /// False, with a diagnosis, when `outcome` already failed or holds no
   /// events.
   static bool has_events(AcquireOutcome& outcome);

@@ -115,8 +115,10 @@ trace::Trace run_doacross_traced(const DoacrossBody& body,
         tracer.record(tid, EventKind::kStmtExit, S::kGuarded, 0, i);
       }
       if (synced) {
-        sync.advance(i);
+        // Stamp before publishing: an awaiter released by this advance
+        // stamps its awaitE after it, however this thread is preempted.
         tracer.record(tid, EventKind::kAdvance, S::kAdvance, S::kSyncVar, i);
+        sync.advance(i);
       }
       if (body.post) {
         tracer.record(tid, EventKind::kStmtEnter, S::kPost, 0, i);

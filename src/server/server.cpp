@@ -228,9 +228,9 @@ struct PerturbServer::Impl {
     if (request.flags & kFlagPayloadIsPath)
       return pipeline.run_file(request.payload);
     // Inline payloads are binary trace images (the compact format clients
-    // already have on disk or produce from the simulator).
-    return pipeline.run(
-        trace::read_binary(request.payload.data(), request.payload.size()));
+    // already have on disk or produce from the simulator), loaded like the
+    // file they would be: strict, or salvaged when the job repairs.
+    return pipeline.run_image(request.payload.data(), request.payload.size());
   }
 
   JobReply execute(const Job& job, WorkerState& state) const {
@@ -240,12 +240,14 @@ struct PerturbServer::Impl {
     const std::uint32_t max_attempts = std::max(1u, config.max_attempts);
     for (std::uint32_t attempt = 1;; ++attempt) {
       reply.attempts = attempt;
+      bool injected = false;
       try {
         if (request.flags & kFlagPoison)
           throw std::runtime_error("poison job (chaos hook)");
         if (fault_fires(config.fault_seed, request.job_id, attempt,
                         config.fault_rate)) {
           kFaultsInjected.add();
+          injected = true;
           throw trace::IoError(
               strf("injected transient I/O fault (attempt %u)", attempt));
         }
@@ -273,9 +275,13 @@ struct PerturbServer::Impl {
         kInvalidTrace.add();
         return reply;
       } catch (const trace::IoError& e) {
-        // Possibly transient (and always transient when injected): retry
-        // with exponential backoff until the attempt budget is spent.
-        if (attempt < max_attempts) {
+        // Injected faults and file reads may be transient: retry with
+        // exponential backoff until the attempt budget is spent.  Bytes
+        // already in memory (an inline image) decode the same way every
+        // time, so their failure is answered at once.
+        const bool transient =
+            injected || (request.flags & kFlagPayloadIsPath) != 0;
+        if (transient && attempt < max_attempts) {
           kRetries.add();
           std::this_thread::sleep_for(std::chrono::microseconds(
               std::uint64_t(config.retry_backoff_us) << (attempt - 1)));

@@ -21,9 +21,10 @@
 //     and moves on.  One poisonous job cannot take a worker — let alone the
 //     daemon — down.
 //   * Bounded retry.  Transient I/O faults (deterministically injectable
-//     for tests and drills via `fault_rate`) are retried up to
-//     `max_attempts` with exponential backoff before the job fails with
-//     kIoError.
+//     for tests and drills via `fault_rate`) and failed path reads are
+//     retried up to `max_attempts` with exponential backoff before the job
+//     fails with kIoError.  An inline image that fails to decode is answered
+//     kIoError on its first attempt.
 //   * Graceful drain.  shutdown() stops admitting (new frames get
 //     kShuttingDown), lets in-flight jobs finish within `drain_timeout_ms`,
 //     then cancels stragglers via their tokens, and finally tears down

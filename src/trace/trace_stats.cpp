@@ -1,13 +1,16 @@
 #include "trace/trace_stats.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <tuple>
 #include <type_traits>
 #include <vector>
 
+#include "support/metrics.hpp"
 #include "support/stats.hpp"
 #include "support/text.hpp"
 
@@ -167,9 +170,90 @@ class MatchTable {
   std::size_t mask_ = 0;
 };
 
-}  // namespace
+/// Error totals over matched pairs.  Both matchers add pairs in `a`'s trace
+/// order, as compare_reference does, so every path rounds identically.
+struct ErrorTotals {
+  TraceComparison c;
+  double abs_sum = 0.0;
+  double sq_sum = 0.0;
+  std::vector<double> abs_errors;
 
-TraceComparison compare(const Trace& a, const Trace& b) {
+  void add(Tick ta, Tick tb) {
+    ++c.matched_events;
+    const auto err = static_cast<double>(ta - tb);
+    abs_sum += std::abs(err);
+    sq_sum += err * err;
+    abs_errors.push_back(std::abs(err));
+    c.max_abs_time_error =
+        std::max(c.max_abs_time_error,
+                 static_cast<Tick>(std::llabs(static_cast<long long>(err))));
+  }
+
+  TraceComparison finish(const Trace& a, const Trace& b) {
+    c.unmatched_b = b.size() - c.matched_events;
+    if (c.matched_events > 0) {
+      const auto n = static_cast<double>(c.matched_events);
+      c.mean_abs_time_error = abs_sum / n;
+      c.rms_time_error = std::sqrt(sq_sum / n);
+      c.p50_abs_time_error = support::percentile_inplace(abs_errors, 0.5);
+      c.p95_abs_time_error = support::percentile_inplace(abs_errors, 0.95);
+    }
+    const auto bt = static_cast<double>(b.total_time());
+    c.total_time_ratio =
+        bt != 0.0 ? static_cast<double>(a.total_time()) / bt : 0.0;
+    return c;
+  }
+};
+
+bool same_identity(const Event& x, const Event& y) noexcept {
+  return x.proc == y.proc && x.kind == y.kind && x.id == y.id &&
+         x.object == y.object && x.payload == y.payload;
+}
+
+/// The per-processor ordered match: pairs each event of `a` with the next
+/// event of `b` on its processor whose kind occurs in `a`.  When every pair
+/// has equal identity, each processor's key sequence in `a` is a prefix of
+/// its filtered sequence in `b`, so the nth occurrence of a key in `a` meets
+/// the nth in `b` — the ordinal rule, without hashing.  Returns nullopt on
+/// the first pair that breaks this: an identity differs, or a processor of
+/// `a` runs past its list in `b` (an empty list included).
+std::optional<TraceComparison> compare_in_order(const Trace& a,
+                                                const Trace& b) {
+  if (b.size() > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
+  std::array<bool, 256> kind_in_a{};
+  for (const auto& e : a) kind_in_a[static_cast<std::uint8_t>(e.kind)] = true;
+
+  // Counting-sort layout of b's events whose kind occurs in a: processor
+  // p's indices are order[begin[p], end[p]), in trace order.
+  std::vector<std::uint32_t> begin;
+  for (const auto& e : b) {
+    if (!kind_in_a[static_cast<std::uint8_t>(e.kind)]) continue;
+    if (e.proc + 1u >= begin.size()) begin.resize(e.proc + 2u, 0);
+    ++begin[e.proc + 1u];
+  }
+  for (std::size_t p = 1; p < begin.size(); ++p) begin[p] += begin[p - 1];
+  std::vector<std::uint32_t> end = begin;  // fill cursors, then slice ends
+  std::vector<std::uint32_t> order(begin.empty() ? 0 : begin.back());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    const Event& e = b[i];
+    if (kind_in_a[static_cast<std::uint8_t>(e.kind)])
+      order[end[e.proc]++] = static_cast<std::uint32_t>(i);
+  }
+
+  ErrorTotals totals;
+  totals.abs_errors.reserve(a.size());
+  for (const auto& e : a) {
+    if (e.proc >= end.size() || begin[e.proc] == end[e.proc])
+      return std::nullopt;
+    const Event& partner = b[order[begin[e.proc]++]];
+    if (!same_identity(e, partner)) return std::nullopt;
+    totals.add(e.time, partner.time);
+  }
+  return totals.finish(a, b);
+}
+
+/// The hash matcher: every pair the per-processor match cannot answer.
+TraceComparison compare_hashed(const Trace& a, const Trace& b) {
   // Count b's occurrences per key, slice one shared buffer by those counts,
   // then fill it in b order so slices are ordinal-ordered.
   MatchTable table(b.size());
@@ -188,38 +272,27 @@ TraceComparison compare(const Trace& a, const Trace& b) {
   for (auto& s : table.slots()) s.cursor = 0;
 
   // Walk a in trace order: the nth occurrence of a key matches the nth
-  // occurrence in b.  Accumulation order over `a` is identical to
-  // compare_reference, so the floating-point results are bit-identical.
-  TraceComparison c;
-  double abs_sum = 0.0;
-  double sq_sum = 0.0;
-  std::vector<double> abs_errors;
+  // occurrence in b.
+  ErrorTotals totals;
   for (const auto& e : a) {
     auto* s = table.find(key_of(e));
     if (s == nullptr || s->cursor == s->count) {
-      ++c.unmatched_a;
+      ++totals.c.unmatched_a;
       continue;
     }
-    ++c.matched_events;
-    const auto err =
-        static_cast<double>(e.time - b_times[s->base + s->cursor++]);
-    abs_sum += std::abs(err);
-    sq_sum += err * err;
-    abs_errors.push_back(std::abs(err));
-    c.max_abs_time_error =
-        std::max(c.max_abs_time_error,
-                 static_cast<Tick>(std::llabs(static_cast<long long>(err))));
+    totals.add(e.time, b_times[s->base + s->cursor++]);
   }
-  c.unmatched_b = b.size() - c.matched_events;
-  if (c.matched_events > 0) {
-    c.mean_abs_time_error = abs_sum / static_cast<double>(c.matched_events);
-    c.rms_time_error = std::sqrt(sq_sum / static_cast<double>(c.matched_events));
-    c.p50_abs_time_error = support::percentile_inplace(abs_errors, 0.5);
-    c.p95_abs_time_error = support::percentile_inplace(abs_errors, 0.95);
-  }
-  const auto bt = static_cast<double>(b.total_time());
-  c.total_time_ratio = bt != 0.0 ? static_cast<double>(a.total_time()) / bt : 0.0;
-  return c;
+  return totals.finish(a, b);
+}
+
+const support::Counter kCompareFallbacks("trace.compare.fallbacks");
+
+}  // namespace
+
+TraceComparison compare(const Trace& a, const Trace& b) {
+  if (auto in_order = compare_in_order(a, b)) return *in_order;
+  kCompareFallbacks.add();
+  return compare_hashed(a, b);
 }
 
 TraceComparison compare_reference(const Trace& a, const Trace& b) {

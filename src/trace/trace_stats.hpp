@@ -72,6 +72,16 @@ struct TraceComparison {
   double total_time_ratio = 0.0;  ///< a.total_time / b.total_time
 };
 
+/// Scores `a` against `b`.  Two matchers, one result: first the
+/// per-processor ordered match — each event of `a` pairs with the next event
+/// of `b` on its processor whose kind occurs in `a`, and must have equal
+/// identity.  When that holds for every event of `a`, it is exactly the
+/// ordinal rule above (each processor's key sequence in `a` is a prefix of
+/// its filtered sequence in `b`), at the cost of one 4-byte index per event
+/// of `b`.  Any miss — an identity differs, or a processor of `a` runs past
+/// its events in `b` — scores the pair with an open-addressing hash table
+/// over `b` instead, and counts the trace.compare.fallbacks metric.  Both
+/// give results bit-identical to compare_reference.
 TraceComparison compare(const Trace& a, const Trace& b);
 
 /// The pre-optimization compare: ordered maps of per-key ordinals.  Produces

@@ -515,15 +515,20 @@ TEST(Server, TornPathJobWithRepairMatchesInBandJob) {
   daemon.start();
   Client client(socket_path);
 
-  // The same torn image sent in band (chunked) and named by path, both
-  // with repair on: the reader-side salvage and the worker's run_file
-  // salvage must produce byte-identical replies.
+  // The same torn image with repair on, sent inline, sent chunked and named
+  // by path: the worker's image salvage, the reader-side salvage and the
+  // worker's run_file salvage must produce byte-identical replies.
   JobRequest torn = job(20, kMaskTimeBased | kMaskEventBased);
   torn.payload.resize(torn.payload.size() * 3 / 5);
   torn.repair = static_cast<std::uint8_t>(core::RepairMode::kConservative);
   const JobReply in_band = client.call_stream(torn, 4096);
   ASSERT_EQ(in_band.status, JobStatus::kOk) << in_band.detail;
+  EXPECT_EQ(in_band.attempts, 1u);
   EXPECT_NE(in_band.detail.find("salvaged=1"), std::string::npos);
+
+  const JobReply inline_reply = client.call(torn);
+  EXPECT_EQ(encode_reply(inline_reply), encode_reply(in_band))
+      << inline_reply.detail << "\n--- vs ---\n" << in_band.detail;
 
   const std::string path = test_socket() + ".torn.bin";
   {
@@ -538,6 +543,24 @@ TEST(Server, TornPathJobWithRepairMatchesInBandJob) {
   ::unlink(path.c_str());
   EXPECT_EQ(encode_reply(path_reply), encode_reply(in_band))
       << path_reply.detail << "\n--- vs ---\n" << in_band.detail;
+  daemon.shutdown();
+}
+
+TEST(Server, StrictTornInlineImageIsNotRetried) {
+  const std::string socket_path = test_socket();
+  ServerConfig config = base_config(socket_path, 1);
+  config.max_attempts = 3;
+  PerturbServer daemon(config);
+  daemon.start();
+  Client client(socket_path);
+
+  // Bytes in memory decode the same way on every attempt: a strict torn
+  // image is answered on its first.
+  JobRequest torn = job(21);
+  torn.payload.resize(torn.payload.size() * 3 / 5);
+  const JobReply reply = client.call(torn);
+  EXPECT_EQ(reply.status, JobStatus::kIoError) << reply.detail;
+  EXPECT_EQ(reply.attempts, 1u);
   daemon.shutdown();
 }
 

@@ -7,12 +7,16 @@
 #include <limits>
 #include <sstream>
 
+#include "experiments/experiments.hpp"
+#include "experiments/grid.hpp"
 #include "oracle/binary_oracle.hpp"
 #include "support/check.hpp"
+#include "support/metrics.hpp"
 #include "trace/event.hpp"
 #include "trace/io.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_stats.hpp"
+#include "workload/workload.hpp"
 
 namespace perturb::trace {
 namespace {
@@ -486,6 +490,134 @@ TEST(TraceCompare, PackedKeyBoundariesAgreeWithReference) {
   EXPECT_EQ(fast.matched_events, 10u);
   EXPECT_EQ(fast.unmatched_a, 1u);
   EXPECT_EQ(fast.unmatched_b, 1u);
+}
+
+
+// ---- compare: per-processor match and hash fallback vs the reference ----
+
+void expect_bitwise_equal(const TraceComparison& got,
+                          const TraceComparison& ref) {
+  EXPECT_EQ(got.matched_events, ref.matched_events);
+  EXPECT_EQ(got.unmatched_a, ref.unmatched_a);
+  EXPECT_EQ(got.unmatched_b, ref.unmatched_b);
+  EXPECT_EQ(got.mean_abs_time_error, ref.mean_abs_time_error);
+  EXPECT_EQ(got.rms_time_error, ref.rms_time_error);
+  EXPECT_EQ(got.p50_abs_time_error, ref.p50_abs_time_error);
+  EXPECT_EQ(got.p95_abs_time_error, ref.p95_abs_time_error);
+  EXPECT_EQ(got.max_abs_time_error, ref.max_abs_time_error);
+  EXPECT_EQ(got.total_time_ratio, ref.total_time_ratio);
+}
+
+/// Scores `a` against `b` through compare and compare_reference, expects
+/// bitwise-equal fields, and returns how often compare fell back to the
+/// hash matcher.
+std::uint64_t expect_parity(const Trace& a, const Trace& b) {
+  support::Metrics::enable(true);
+  support::Metrics::reset();
+  const TraceComparison got = compare(a, b);
+  const std::uint64_t fallbacks =
+      support::Metrics::snapshot().counters.at("trace.compare.fallbacks");
+  support::Metrics::enable(false);
+  expect_bitwise_equal(got, compare_reference(a, b));
+  return fallbacks;
+}
+
+TEST(TraceCompare, PerProcessorMatchEqualsReferenceOnLivermore) {
+  const experiments::Setup setup;
+  for (const int loop : {3, 4, 17}) {
+    for (const auto plan : {experiments::PlanKind::kStatementsOnly,
+                            experiments::PlanKind::kSyncOnly,
+                            experiments::PlanKind::kFull}) {
+      SCOPED_TRACE(testing::Message()
+                   << "lfk" << loop << " plan " << static_cast<int>(plan));
+      const experiments::LoopRun run =
+          experiments::run_concurrent_experiment(loop, 400, setup, plan);
+      // The per-processor match answers every Livermore pair: no fallback.
+      EXPECT_EQ(expect_parity(run.event_based.approx, run.actual), 0u);
+      EXPECT_EQ(expect_parity(run.time_based, run.actual), 0u);
+      EXPECT_GT(compare(run.event_based.approx, run.actual).matched_events,
+                0u);
+    }
+  }
+}
+
+TEST(TraceCompare, EqualsReferenceOnWorkloadFamilies) {
+  for (const auto family :
+       {workload::Family::kPareto, workload::Family::kLognormal,
+        workload::Family::kContention, workload::Family::kIrregular,
+        workload::Family::kBursty}) {
+    SCOPED_TRACE(workload::family_name(family));
+    workload::WorkloadSpec spec;
+    spec.family = family;
+    spec.seed = 7;
+    spec.params = workload::default_params(family);
+    spec.params.trip = 200;
+    experiments::Scenario cell;
+    cell.plan = experiments::PlanKind::kFull;
+    cell.workload = spec;
+    const experiments::LoopRun run = experiments::run_scenario(cell);
+    expect_parity(run.event_based.approx, run.actual);
+    expect_parity(run.time_based, run.actual);
+  }
+}
+
+/// Two processors; `b` carries a kind `a` lacks and a longer tail, both of
+/// which the per-processor match skips.
+struct ComparePair {
+  Trace a{{"a", 2, 1.0}};
+  Trace b{{"b", 2, 1.0}};
+  ComparePair() {
+    for (const Tick t : {0, 10, 20, 30}) {
+      a.append(make_event(t + 1, 0, EventKind::kStmtEnter, 1, 0, t));
+      a.append(make_event(t + 2, 1, EventKind::kStmtEnter, 2, 0, t));
+      b.append(make_event(t, 0, EventKind::kStmtEnter, 1, 0, t));
+      b.append(make_event(t + 5, 0, EventKind::kUser, 9, 0, t));
+      b.append(make_event(t, 1, EventKind::kStmtEnter, 2, 0, t));
+    }
+    b.append(make_event(50, 1, EventKind::kStmtEnter, 2, 0, 40));
+  }
+};
+
+TEST(TraceCompare, PerProcessorMatchSkipsAbsentKindsAndTails) {
+  const ComparePair pair;
+  EXPECT_EQ(expect_parity(pair.a, pair.b), 0u);
+  const TraceComparison c = compare(pair.a, pair.b);
+  EXPECT_EQ(c.matched_events, 8u);
+  EXPECT_EQ(c.unmatched_a, 0u);
+  EXPECT_EQ(c.unmatched_b, 5u);
+}
+
+TEST(TraceCompare, EachFallbackTriggerEqualsReference) {
+  {
+    SCOPED_TRACE("identity differs mid-processor");
+    ComparePair pair;
+    pair.a[3].payload = 99;  // processor 1's second event
+    EXPECT_EQ(expect_parity(pair.a, pair.b), 1u);
+  }
+  {
+    SCOPED_TRACE("a longer than b on one processor");
+    ComparePair pair;
+    pair.a.append(make_event(60, 0, EventKind::kStmtEnter, 1, 0, 40));
+    EXPECT_EQ(expect_parity(pair.a, pair.b), 1u);
+  }
+  {
+    SCOPED_TRACE("processor of a absent from b");
+    ComparePair pair;
+    pair.a.append(make_event(60, 5, EventKind::kStmtEnter, 1, 0, 0));
+    EXPECT_EQ(expect_parity(pair.a, pair.b), 1u);
+  }
+  {
+    SCOPED_TRACE("empty b");
+    const ComparePair pair;
+    EXPECT_EQ(expect_parity(pair.a, Trace({"b", 2, 1.0})), 1u);
+  }
+  {
+    // Not a trigger: with no event of `a` to place, the per-processor match
+    // is trivially exact.
+    SCOPED_TRACE("empty a");
+    const ComparePair pair;
+    EXPECT_EQ(expect_parity(Trace({"a", 2, 1.0}), pair.b), 0u);
+  }
 }
 
 }  // namespace
